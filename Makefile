@@ -83,11 +83,11 @@ bench-fleet:
 		-bench 'BenchmarkFleetStream|BenchmarkFleetCalibrationStream' \
 		-benchtime 1x -benchmem .
 
-# The cluster hot-path gate: the optimized schedule (parallel ticks+decide
-# over engine.TickBatch, serial apply) vs the retained PR-6 reference
-# schedule on a 1000-tenant cluster, bit-identity asserted, speedup gated
-# (1.5x with >= 4 CPUs, the core-independent 1.2x floor below that).
-# Numbers land in BENCH_cluster.json.
+# The cluster hot-path gate: a 1000-tenant cluster (parallel ticks+decide
+# over engine.TickBatch, serial apply) must give byte-identical results at
+# 1 and 8 workers, and sustain an absolute tenant-intervals/s floor (1.2x
+# the retired reference schedule's measured median). Numbers land in
+# BENCH_cluster.json.
 bench-cluster:
 	BENCH_JSON=BENCH_cluster.json $(GO) test -run '^$$' \
 		-bench 'BenchmarkCluster1kTenants' -benchtime 1x -benchmem .
@@ -108,12 +108,13 @@ bench-serve:
 	BENCH_JSON=BENCH_serve.json $(GO) test -run '^$$' \
 		-bench 'BenchmarkServeIngest' -benchtime 1x -benchmem .
 
-# Profile the cluster hot path: one 1k-tenant run with per-phase pprof
-# labels ("ticks+decide" vs "apply"), CPU and heap profiles written to
-# cluster_cpu.pprof / cluster_heap.pprof for `go tool pprof`.
+# Profile the cluster hot path: one 1k-tenant daas-sim cluster run, traces
+# compressed to 12 intervals, with per-phase pprof labels ("ticks+decide"
+# vs "apply"); CPU and heap profiles written to cluster_cpu.pprof /
+# cluster_heap.pprof for `go tool pprof`.
 profile:
-	$(GO) run ./cmd/daas-profile -tenants 1000 -intervals 12 -workers 8 \
-		-labels -cpuprofile cluster_cpu.pprof -memprofile cluster_heap.pprof
+	$(GO) run ./cmd/daas-sim -cluster 1000 -cluster-intervals 12 -workers 8 \
+		-cpuprofile cluster_cpu.pprof -memprofile cluster_heap.pprof > /dev/null
 
 # Every benchmark, including the full paper-figure reproductions.
 bench-all:

@@ -16,7 +16,7 @@ import (
 // clusterBenchSpec builds the 1k-tenant cluster the bench-cluster gate
 // measures: the three standard workload families and four standard load
 // shapes cycled across the fleet, tenant seeds derived from the cluster
-// seed. Mirrors cmd/daas-profile's cluster.
+// seed.
 func clusterBenchSpec(tenants, intervals int) sim.MultiTenantSpec {
 	spec := sim.MultiTenantSpec{Servers: (tenants + 1) / 2, Seed: benchSeed}
 	for i := 0; i < tenants; i++ {
@@ -51,11 +51,19 @@ func clusterBenchSpec(tenants, intervals int) sim.MultiTenantSpec {
 	return spec
 }
 
-// BenchmarkCluster1kTenants is the cluster hot-path gate: the optimized
-// schedule (parallel ticks+decide over engine.TickBatch, serial apply)
-// must beat the retained PR-6 reference schedule (per-call Tick, fully
-// serial decide+apply) by >= 1.5x wall-clock on a 1000-tenant cluster at
-// 8 workers — after first proving the two produce byte-identical results.
+// minClusterTenantIntervalsPerSec is the bench-cluster throughput floor:
+// at least 1.2x the median throughput of the retired reference schedule
+// (per-call engine ticks, fully serial decide+apply) on the same
+// 1000-tenant, 12-interval, 8-worker cluster. Over nine runs on a 2-CPU
+// x86-64 host (Go 1.24) that schedule's median was 9984
+// tenant-intervals/s (range 9236-10537); 1.2 x 9984 = 11981, rounded up.
+const minClusterTenantIntervalsPerSec = 12000
+
+// BenchmarkCluster1kTenants is the cluster hot-path gate on a 1000-tenant
+// cluster (parallel ticks+decide over engine.TickBatch, serial apply). It
+// first proves the schedule is worker-count independent — the 1-worker
+// and 8-worker runs must be byte-identical — then requires the best of
+// three 8-worker runs to sustain minClusterTenantIntervalsPerSec.
 // `make bench-cluster` records the numbers in BENCH_cluster.json.
 func BenchmarkCluster1kTenants(b *testing.B) {
 	const tenants, intervals, workers = 1000, 12, 8
@@ -63,10 +71,14 @@ func BenchmarkCluster1kTenants(b *testing.B) {
 
 	// Spec construction (workloads, traces) is test scaffolding, not the
 	// measured hot path: build it before starting the clock, fresh per run
-	// so neither arm warms state for the other.
-	run := func(opts ...sim.Option) (float64, sim.MultiTenantResult) {
+	// so no run warms state for the next.
+	run := func(workers int) (float64, sim.MultiTenantResult) {
 		spec := clusterBenchSpec(tenants, intervals)
-		r := sim.NewRunner(opts...)
+		r := sim.NewRunner(sim.WithParallelism(workers))
+		// Every run retires ~140MB of latency samples; collect before the
+		// clock starts so one run's garbage never inflates the next one's
+		// measurement.
+		runtime.GC()
 		start := time.Now()
 		res, err := r.RunMultiTenant(ctx, spec)
 		if err != nil {
@@ -74,77 +86,47 @@ func BenchmarkCluster1kTenants(b *testing.B) {
 		}
 		return float64(time.Since(start).Nanoseconds()), res
 	}
-	reference := func() (float64, sim.MultiTenantResult) {
-		return run(sim.WithParallelism(workers), sim.WithClusterReference())
-	}
-	optimized := func() (float64, sim.MultiTenantResult) {
-		return run(sim.WithParallelism(workers))
-	}
 
-	bestOf := func(f func() (float64, sim.MultiTenantResult), reps int) (float64, sim.MultiTenantResult) {
-		bestNs := -1.0
-		var last sim.MultiTenantResult
-		for r := 0; r < reps; r++ {
-			// Both arms retire ~140MB of latency samples per run; collect
-			// before the clock starts so one arm's garbage never inflates
-			// the other's measurement.
-			runtime.GC()
-			ns, res := f()
-			last = res
-			if bestNs < 0 || ns < bestNs {
-				bestNs = ns
-			}
+	// Correctness first: the result must not depend on the worker count.
+	_, serial := run(1)
+	bestNs := -1.0
+	var parallel sim.MultiTenantResult
+	for rep := 0; rep < 3; rep++ {
+		ns, res := run(workers)
+		parallel = res
+		if bestNs < 0 || ns < bestNs {
+			bestNs = ns
 		}
-		return bestNs, last
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		b.Fatalf("cluster run at %d workers diverged from the 1-worker run (migrations %d vs %d, refusals %d vs %d)",
+			workers, parallel.Migrations, serial.Migrations, parallel.Refusals, serial.Refusals)
 	}
 
-	// Correctness first: the optimized schedule must be bit-identical to
-	// the reference before its speed means anything.
-	refNs, refRes := bestOf(reference, 3)
-	optNs, optRes := bestOf(optimized, 3)
-	if !reflect.DeepEqual(refRes, optRes) {
-		b.Fatalf("optimized cluster schedule diverged from the reference (migrations %d vs %d, refusals %d vs %d)",
-			optRes.Migrations, refRes.Migrations, optRes.Refusals, refRes.Refusals)
+	tenantIntervalsPerSec := float64(tenants*intervals) / (bestNs / 1e9)
+	if tenantIntervalsPerSec < minClusterTenantIntervalsPerSec && !raceEnabled {
+		b.Fatalf("cluster run sustains %.0f tenant-intervals/s, want >= %.0f",
+			tenantIntervalsPerSec, float64(minClusterTenantIntervalsPerSec))
 	}
-
-	// The 1.5x target assumes hardware parallelism for the decide phase:
-	// fanning RunTicks+Decide across 8 workers only beats the reference's
-	// serial decide when there are cores to run the fan-out. On fewer than
-	// 4 CPUs the schedules serialize to the same order and the gate
-	// enforces the core-independent floor instead — the batched tick
-	// kernel, bulk sample collection and fabric allocation-cache wins,
-	// which measure ~1.3-1.4x alone.
-	speedup := refNs / optNs
-	want := 1.5
-	if runtime.GOMAXPROCS(0) < 4 {
-		want = 1.2
-	}
-	if speedup < want && !raceEnabled {
-		b.Fatalf("optimized cluster run is only %.2fx faster than the PR-6 reference, want >= %.2fx at %d CPUs",
-			speedup, want, runtime.GOMAXPROCS(0))
-	}
-	tenantIntervalsPerSec := float64(tenants*intervals) / (optNs / 1e9)
 	printOnce("cluster-1k", func() {
-		fmt.Printf("\nCluster hot path: %d tenants x %d intervals @ %d workers: %.0f ms -> %.0f ms (%.2fx, %.0f tenant-intervals/s)\n",
-			tenants, intervals, workers, refNs/1e6, optNs/1e6, speedup, tenantIntervalsPerSec)
+		fmt.Printf("\nCluster hot path: %d tenants x %d intervals @ %d workers: %.0f ms (%.0f tenant-intervals/s, floor %.0f)\n",
+			tenants, intervals, workers, bestNs/1e6, tenantIntervalsPerSec, float64(minClusterTenantIntervalsPerSec))
 	})
-	b.ReportMetric(speedup, "speedup-x")
 	b.ReportMetric(tenantIntervalsPerSec, "tenant-intervals/s")
 	recordBench("Cluster1kTenants", map[string]float64{
-		"tenants":                tenants,
-		"intervals":              intervals,
-		"workers":                workers,
-		"reference_ms":           refNs / 1e6,
-		"optimized_ms":           optNs / 1e6,
-		"speedup_x":              speedup,
-		"tenant_intervals_per_s": tenantIntervalsPerSec,
-		"gomaxprocs":             float64(runtime.GOMAXPROCS(0)),
-		"migrations":             float64(optRes.Migrations),
-		"refusals":               float64(optRes.Refusals),
+		"tenants":                      tenants,
+		"intervals":                    intervals,
+		"workers":                      workers,
+		"run_ms":                       bestNs / 1e6,
+		"tenant_intervals_per_s":       tenantIntervalsPerSec,
+		"floor_tenant_intervals_per_s": minClusterTenantIntervalsPerSec,
+		"gomaxprocs":                   float64(runtime.GOMAXPROCS(0)),
+		"migrations":                   float64(parallel.Migrations),
+		"refusals":                     float64(parallel.Refusals),
 	})
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		optimized()
+		run(workers)
 	}
 }

@@ -14,7 +14,9 @@
 //	          -actuation-burst-len N -actuation-deadline N -actuation-seed S]
 //	         [-csv POLICY -out FILE]
 //	         [-cluster N -cluster-servers M -cluster-goal-ms G
-//	          -contention -rebalance-every K -rebalance-pack]
+//	          -cluster-intervals K -contention -rebalance-every K
+//	          -rebalance-pack]
+//	         [-cpuprofile FILE -memprofile FILE]
 //
 // With -faults R > 0 every policy's telemetry channel runs in chaos mode: a
 // deterministic fault plan injects dropped, duplicated, reordered and
@@ -41,8 +43,18 @@
 // shared channels inflate co-residents' waits), -rebalance-every K runs the
 // goal-preserving placement optimizer every K intervals, and
 // -rebalance-pack additionally consolidates tenants onto fewer nodes when
-// no goal is violated. The -faults and -actuation-* flags apply to the
-// cluster run too.
+// no goal is violated. -cluster-intervals K compresses every tenant's trace
+// to K billing intervals (keeping its load shape), which bounds the run's
+// memory: each tenant retains its run-level latency samples. The -faults
+// and -actuation-* flags apply to the cluster run too.
+//
+// -cpuprofile and -memprofile write CPU and allocation pprof profiles of
+// the run, in either mode. In -cluster mode a CPU profile also labels the
+// runner's phases (phase=ticks+decide, phase=apply), so the profile splits
+// the parallel tick/decide fan-out from the serial fabric-apply section:
+//
+//	daas-sim -cluster 1000 -cluster-intervals 12 -workers 8 -cpuprofile cpu.pprof
+//	go tool pprof -top -tagfocus phase=apply cpu.pprof
 package main
 
 import (
@@ -52,6 +64,8 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 
 	"daasscale/internal/actuate"
 	"daasscale/internal/budget"
@@ -96,9 +110,12 @@ func main() {
 	clusterTenants := flag.Int("cluster", 0, "run a multi-tenant cluster with this many tenants instead of the policy comparison (0 = off)")
 	clusterServers := flag.Int("cluster-servers", 0, "cluster size in servers (0 = one largest container per two tenants)")
 	clusterGoalMs := flag.Float64("cluster-goal-ms", 100, "per-tenant p95 latency goal in the cluster run (ms)")
+	clusterIntervals := flag.Int("cluster-intervals", 0, "compress each cluster tenant's trace to this many billing intervals (0 = full trace)")
 	contention := flag.Bool("contention", false, "enable the noisy-neighbor interference model on the cluster fabric")
 	rebalanceEvery := flag.Int("rebalance-every", 0, "run the goal-preserving placement optimizer every N intervals (0 = never)")
 	rebalancePack := flag.Bool("rebalance-pack", false, "also consolidate tenants onto fewer nodes when no goal is violated")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (labels the cluster phases in -cluster mode)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	flag.Parse()
 
 	w, err := workload.ByName(*workloadName)
@@ -140,6 +157,12 @@ func main() {
 		actCfg = actuate.Config{}
 	}
 
+	if *clusterIntervals < 0 {
+		log.Fatalf("-cluster-intervals must be >= 0, got %d", *clusterIntervals)
+	}
+	stopProfiles := startProfiles(*cpuProfile, *memProfile)
+	defer stopProfiles()
+
 	if *clusterTenants > 0 {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
@@ -147,6 +170,7 @@ func main() {
 			tenants:        *clusterTenants,
 			servers:        *clusterServers,
 			goalMs:         *clusterGoalMs,
+			intervals:      *clusterIntervals,
 			seed:           *seed,
 			workers:        *workers,
 			contention:     *contention,
@@ -154,11 +178,12 @@ func main() {
 			rebalancePack:  *rebalancePack,
 			faults:         faultPlan,
 			actuation:      actCfg,
+			phaseLabels:    *cpuProfile != "",
 		})
 		return
 	}
-	if *contention || *rebalanceEvery > 0 || *rebalancePack {
-		log.Fatal("-contention and -rebalance-* need a cluster run: set -cluster N")
+	if *contention || *rebalanceEvery > 0 || *rebalancePack || *clusterIntervals > 0 {
+		log.Fatal("-contention, -rebalance-* and -cluster-intervals need a cluster run: set -cluster N")
 	}
 
 	cs := sim.ComparisonSpec{
@@ -251,11 +276,50 @@ func main() {
 	}
 }
 
+// startProfiles starts a CPU profile into cpuPath (when set) and returns
+// the function that stops it and writes an allocation profile into memPath
+// (when set).
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	var cpu *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			log.Fatal(err)
+		}
+		cpu = f
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				log.Fatal(err)
+			}
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				log.Fatal(err)
+			}
+			runtime.GC()
+			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+				log.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				log.Fatal(err)
+			}
+		}
+	}
+}
+
 // clusterConfig gathers the -cluster* knobs of a multi-tenant run.
 type clusterConfig struct {
 	tenants        int
 	servers        int
 	goalMs         float64
+	intervals      int // 0 = full traces
 	seed           int64
 	workers        int
 	contention     bool
@@ -263,6 +327,7 @@ type clusterConfig struct {
 	rebalancePack  bool
 	faults         faults.Plan
 	actuation      actuate.Config
+	phaseLabels    bool
 }
 
 // runCluster executes the Figure 3 deployment: cfg.tenants auto-scaled
@@ -288,6 +353,9 @@ func runCluster(ctx context.Context, cfg clusterConfig) {
 		if err != nil {
 			log.Fatal(err)
 		}
+		if cfg.intervals > 0 {
+			tr = tr.Resample(cfg.intervals)
+		}
 		spec.Tenants = append(spec.Tenants, sim.TenantSpec{
 			ID:       fmt.Sprintf("t%02d", i),
 			Workload: mix[i%len(mix)],
@@ -296,7 +364,11 @@ func runCluster(ctx context.Context, cfg clusterConfig) {
 		})
 	}
 
-	res, err := sim.NewRunner(sim.WithParallelism(cfg.workers)).RunMultiTenant(ctx, spec)
+	opts := []sim.Option{sim.WithParallelism(cfg.workers)}
+	if cfg.phaseLabels {
+		opts = append(opts, sim.WithPhaseLabels())
+	}
+	res, err := sim.NewRunner(opts...).RunMultiTenant(ctx, spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,13 +8,15 @@ import (
 )
 
 // TickBatch advances the simulation by len(offered) one-second ticks — a
-// whole billing interval in one call. It is bit-identical to calling Tick
-// once per element, in order: the same RNG draws in the same sequence, the
-// same floating-point operations in the same association. Tick stays in
-// the tree as the reference kernel; the TickBatch equivalence property
-// test and the cross-runner golden suite pin the two together.
+// whole billing interval in one call. It is the engine's only tick kernel
+// (Tick is a one-tick wrapper over it). It is bit-identical to running the
+// natural per-tick model once per element, in order: the same RNG draws in
+// the same sequence, the same floating-point operations in the same
+// association. That per-tick model survives as the test-only oracle
+// tickReference; the TickBatch equivalence property tests and the
+// cross-runner golden suite pin the kernel to it.
 //
-// The speedup comes from hoisting everything a single Tick recomputes per
+// The speed comes from hoisting everything a per-tick body recomputes per
 // call even though it cannot change within an interval — container
 // capacities and their queue caps, the profile's per-transaction
 // constants, the memory ceiling and warm cap, option-derived latency
@@ -22,7 +24,7 @@ import (
 // backlogs, shed counters, the accumulator's sums) in locals across the
 // whole interval instead of bouncing through the Engine struct on every
 // tick. Hoists deliberately never re-associate float expressions: an
-// expression is hoisted only when Tick computes exactly that expression,
+// expression is hoisted only when the oracle computes exactly that expression,
 // with that operand order, every tick (e.g. `p.LatchProb * 1.5` may move
 // out of the loop; `offered * lcp * lhm / 1000` may not, because its value
 // depends on the tick). See DESIGN.md §13 for the hoisting rules.
@@ -39,7 +41,7 @@ func (e *Engine) TickBatch(offered []float64) {
 	ws := e.w.WorkingSetMB
 	coldData := e.w.DataSizeMB - ws
 	hs := e.w.HotspotFraction
-	coldShare := 1 - hs // Tick's `(1-e.w.HotspotFraction)`, identical every tick
+	coldShare := 1 - hs // the oracle's `(1-e.w.HotspotFraction)`, identical every tick
 	warmCap := math.Min(memCap, e.w.DataSizeMB)
 	warmPerRead := o.WarmMBPerPhysRead
 
@@ -61,25 +63,24 @@ func (e *Engine) TickBatch(offered []float64) {
 
 	ck := o.CheckpointEverySec
 	ioServiceMs := o.IOServiceMs
-	logSvcPerTxn := logPerTxn * o.LogServiceMsPerKB // Tick's `p.LogKB*o.LogServiceMsPerKB`
+	logSvcPerTxn := logPerTxn * o.LogServiceMsPerKB // the oracle's `p.LogKB*o.LogServiceMsPerKB`
 	memStallMs := o.MemStallMs
 	// The contention multipliers are constant for the whole batch (a
 	// hosting runner installs them only between intervals), so every
-	// multiplied term below hoists or folds exactly as Tick associates it.
+	// multiplied term below hoists or folds exactly as the oracle associates it.
 	contCPU := e.contention.CPU
 	contMem := e.contention.Memory
 	contLog := e.contention.LogIO
-	// Tick's `o.BaseLatencyMs + p.CPUms*e.contention.CPU`, the first two
+	// The oracle's `o.BaseLatencyMs + p.CPUms*e.contention.CPU`, the first two
 	// terms of perTxnLatency.
 	basePlusCPU := o.BaseLatencyMs + cpuPerTxn*contCPU
-	// Tick's `p.LogKB*o.LogServiceMsPerKB*e.contention.LogIO` latency term.
+	// The oracle's `p.LogKB*o.LogServiceMsPerKB*e.contention.LogIO` latency term.
 	logSvcLat := logSvcPerTxn * contLog
 	sigma := o.LatencySigma
 	noiseOn := o.NoiseProb > 0
 	noiseProb := o.NoiseProb
 	noiseScale := o.NoiseScale
 	rng := e.rng
-	sink := e.latencySink
 
 	// --- Mutable engine state, held in locals for the whole batch -------
 	usedMB := e.usedMB
@@ -101,7 +102,7 @@ func (e *Engine) TickBatch(offered []float64) {
 	pWritesSum := a.physWrites
 	ticksN := a.ticks
 
-	// drain advances one fluid queue by a tick — Tick's drain with the
+	// drain advances one fluid queue by a tick — the oracle's drain with the
 	// per-resource maxQ precomputed (same product, same value).
 	drain := func(backlog *float64, demand, capacity, maxQ float64, shed *float64) (served, delayMs float64) {
 		total := *backlog + demand
@@ -239,9 +240,6 @@ func (e *Engine) TickBatch(offered []float64) {
 				f := math.Exp(sigma * rng.NormFloat64())
 				sample := perTxnLatency * f
 				lat = append(lat, sample)
-				if sink != nil {
-					sink(sample)
-				}
 			}
 			txns += off
 		}

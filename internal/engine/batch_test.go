@@ -33,8 +33,10 @@ func randBatchWorkload(rng *rand.Rand) *workload.Workload {
 // TestTickBatchMatchesTick is the batching property test: across
 // randomized workloads, containers, checkpoint settings, noise seeds,
 // ballooning targets and batch chunk sizes, TickBatch must be
-// byte-identical to calling Tick per element — same snapshots, same
-// internal state, same RNG positions, same raw wait-type breakdown.
+// byte-identical to calling the tickReference oracle per element — same
+// snapshots, same latency samples, same internal state, same RNG
+// positions, same raw wait-type breakdown. One-tick chunks go through the
+// Tick wrapper, pinning it to the oracle as well.
 func TestTickBatchMatchesTick(t *testing.T) {
 	metaRng := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < 40; trial++ {
@@ -63,9 +65,7 @@ func TestTickBatchMatchesTick(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var refSink, batSink []float64
-			ref.SetLatencySink(func(ms float64) { refSink = append(refSink, ms) })
-			bat.SetLatencySink(func(ms float64) { batSink = append(batSink, ms) })
+			var refLat, batLat []float64
 			if rng.Float64() < 0.3 {
 				target := 64 + rng.Float64()*1024
 				ref.SetMemoryTargetMB(target)
@@ -84,16 +84,24 @@ func TestTickBatchMatchesTick(t *testing.T) {
 					}
 				}
 				for _, off := range offered {
-					ref.Tick(off)
+					ref.tickReference(off)
 				}
 				// Feed the batch engine the same loads in random chunks:
 				// partial batches must compose exactly like one big one.
 				for lo := 0; lo < n; {
 					hi := lo + 1 + loadRng.Intn(n-lo)
-					bat.TickBatch(offered[lo:hi])
+					if hi-lo == 1 {
+						bat.Tick(offered[lo])
+					} else {
+						bat.TickBatch(offered[lo:hi])
+					}
 					lo = hi
 				}
 
+				// The interval's samples must be read before EndInterval
+				// resets them.
+				refLat = append(refLat, ref.IntervalLatencies()...)
+				batLat = append(batLat, bat.IntervalLatencies()...)
 				rs, bs := ref.EndInterval(), bat.EndInterval()
 				if rs != bs {
 					t.Fatalf("interval %d: snapshots differ:\nref %+v\nbat %+v", interval, rs, bs)
@@ -117,17 +125,17 @@ func TestTickBatchMatchesTick(t *testing.T) {
 					}
 				}
 			}
-			if len(refSink) != len(batSink) {
-				t.Fatalf("sink lengths differ: %d vs %d", len(refSink), len(batSink))
+			if len(refLat) != len(batLat) {
+				t.Fatalf("latency sample counts differ: %d vs %d", len(refLat), len(batLat))
 			}
-			for i := range refSink {
-				if refSink[i] != batSink[i] {
-					t.Fatalf("sink sample %d differs: %v vs %v", i, refSink[i], batSink[i])
+			for i := range refLat {
+				if refLat[i] != batLat[i] {
+					t.Fatalf("latency sample %d differs: %v vs %v", i, refLat[i], batLat[i])
 				}
 			}
 			// The engines' RNGs must be at the same position: a further
 			// identical interval stays identical.
-			ref.Tick(100)
+			ref.tickReference(100)
 			bat.TickBatch([]float64{100})
 			if rs, bs := ref.EndInterval(), bat.EndInterval(); rs != bs {
 				t.Fatalf("post-run RNG positions diverged:\nref %+v\nbat %+v", rs, bs)

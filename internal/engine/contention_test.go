@@ -97,7 +97,7 @@ func TestContentionInflatesTargetedWaits(t *testing.T) {
 // TestTickBatchMatchesTickUnderContention extends the batching property
 // to non-identity multipliers: with randomized contention vectors
 // (re-installed between intervals, as the cluster runner does), TickBatch
-// stays byte-identical to per-element Tick.
+// stays byte-identical to the per-element tickReference oracle.
 func TestTickBatchMatchesTickUnderContention(t *testing.T) {
 	metaRng := rand.New(rand.NewSource(20260809))
 	for trial := 0; trial < 25; trial++ {
@@ -146,7 +146,7 @@ func TestTickBatchMatchesTickUnderContention(t *testing.T) {
 					offered[i] = base * (0.5 + loadRng.Float64())
 				}
 				for _, off := range offered {
-					ref.Tick(off)
+					ref.tickReference(off)
 				}
 				for lo := 0; lo < n; {
 					hi := lo + 1 + loadRng.Intn(n-lo)

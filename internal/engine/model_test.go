@@ -187,23 +187,27 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
-func TestLatencySinkReceivesEverySample(t *testing.T) {
+func TestIntervalLatenciesHoldEverySample(t *testing.T) {
 	e, err := New(workload.DS2(), cat.AtStep(4), 10, Options{NoiseProb: -1, WarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n int
-	var sum float64
-	e.SetLatencySink(func(ms float64) { n++; sum += ms })
 	for k := 0; k < e.TicksPerInterval(); k++ {
 		e.Tick(10)
 	}
+	// Read the samples before EndInterval resets them.
+	lat := e.IntervalLatencies()
+	n := len(lat)
+	var sum float64
+	for _, ms := range lat {
+		sum += ms
+	}
 	s := e.EndInterval()
 	if n != e.TicksPerInterval()*10 {
-		t.Errorf("sink received %d samples, want %d", n, e.TicksPerInterval()*10)
+		t.Errorf("interval recorded %d samples, want %d", n, e.TicksPerInterval()*10)
 	}
 	if math.Abs(sum/float64(n)-s.AvgLatencyMs) > 1e-9 {
-		t.Errorf("sink mean %v != snapshot mean %v", sum/float64(n), s.AvgLatencyMs)
+		t.Errorf("sample mean %v != snapshot mean %v", sum/float64(n), s.AvgLatencyMs)
 	}
 }
 

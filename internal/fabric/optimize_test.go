@@ -287,7 +287,7 @@ func TestMigrateSemantics(t *testing.T) {
 func TestFabricInvariantUnderContentionChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 15; trial++ {
-		policy := PlacementPolicy(rng.Intn(5))
+		policy := PlacementPolicy(rng.Intn(3))
 		f, err := New(2+rng.Intn(3), serverCap, policy)
 		if err != nil {
 			t.Fatal(err)

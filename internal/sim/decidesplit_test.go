@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"daasscale/internal/engine"
@@ -37,32 +39,47 @@ func decideSplitSpec() MultiTenantSpec {
 	}
 }
 
+// goldenDecideSplit pins decideSplitSpec's result — dumpMultiTenant's
+// fields, the contention surface and every tenant's full audit trail. It
+// was captured while the retired fully-serial reference schedule (serial
+// decide+apply over per-call ticks) was still in the tree and agreed with
+// the parallel-decide schedule at every worker count, so the pin carries
+// that equivalence forward. Recapture only for an intentional, documented
+// behavior change (set printGoldens and paste).
+const goldenDecideSplit = "93b3419862cb7a89258c3519df866731698bf1323a04f801ffddac1efb5cfb17"
+
+// dumpDecideSplit is the canonical dump goldenDecideSplit hashes.
+// DecisionRecords hold only value types, so %#v renders each one exactly
+// (shortest round-trip floats).
+func dumpDecideSplit(b *strings.Builder, r MultiTenantResult) {
+	dumpMultiTenantContention(b, r)
+	for _, tr := range r.Tenants {
+		for _, rec := range tr.Audit {
+			fmt.Fprintf(b, "%#v\n", rec)
+		}
+	}
+}
+
 // TestClusterDecideSplitWorkerBitIdentity is the parallel-decide phase's
 // worker-count property under combined faults + actuation chaos: fanning
-// RunTicks+Decide across 1, 3 or 8 workers — and the retained fully-serial
-// reference schedule — all produce byte-identical cluster results, audit
-// trails included.
+// RunTicks+Decide across 1, 3 or 8 workers produces byte-identical
+// cluster results, audit trails included, all equal to the pin captured
+// against the serial reference schedule.
 func TestClusterDecideSplitWorkerBitIdentity(t *testing.T) {
 	ctx := context.Background()
-
-	ref, err := NewRunner(WithParallelism(1), WithClusterReference()).RunMultiTenant(ctx, decideSplitSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, workers := range []int{1, 3, 8} {
 		got, err := NewRunner(WithParallelism(workers)).RunMultiTenant(ctx, decideSplitSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ref, got) {
-			for i := range ref.Tenants {
-				if !reflect.DeepEqual(ref.Tenants[i], got.Tenants[i]) {
-					t.Fatalf("workers=%d: tenant %s diverged from serial reference:\nref %+v\ngot %+v",
-						workers, ref.Tenants[i].ID, ref.Tenants[i], got.Tenants[i])
-				}
-			}
-			t.Fatalf("workers=%d: cluster totals diverged from serial reference:\nref %+v\ngot %+v",
-				workers, ref, got)
+		h := hashDump(func(b *strings.Builder) { dumpDecideSplit(b, got) })
+		if printGoldens {
+			t.Errorf("workers=%d: golden %q", workers, h)
+			continue
+		}
+		if h != goldenDecideSplit {
+			t.Fatalf("workers=%d: hash %s, want golden %s (decide/apply split drifted from the serial schedule)",
+				workers, h, goldenDecideSplit)
 		}
 	}
 }

@@ -179,6 +179,20 @@ func TestRunnerValidationSentinels(t *testing.T) {
 			}})
 			return err
 		}},
+		{"multi-tenant unknown placement policy", func() error {
+			_, err := r.RunMultiTenant(ctx, MultiTenantSpec{
+				Tenants: []TenantSpec{{ID: "a", Workload: workload.DS2(), Trace: shortTrace()}},
+				Policy:  fabric.PlacementPolicy(3),
+			})
+			return err
+		}},
+		{"multi-tenant negative placement policy", func() error {
+			_, err := r.RunMultiTenant(ctx, MultiTenantSpec{
+				Tenants: []TenantSpec{{ID: "a", Workload: workload.DS2(), Trace: shortTrace()}},
+				Policy:  fabric.PlacementPolicy(-1),
+			})
+			return err
+		}},
 		{"ballooning negative intervals", func() error {
 			_, err := r.RunBallooning(ctx, BallooningSpec{Intervals: -1})
 			return err
@@ -289,41 +303,5 @@ func TestRunnerRunPoliciesOrder(t *testing.T) {
 		if r.Intervals != shortTrace().Len() {
 			t.Errorf("policy %s ran %d intervals", r.Policy, r.Intervals)
 		}
-	}
-}
-
-// TestDeprecatedWrappersAgree pins the compatibility contract: the old free
-// functions are thin wrappers and must return exactly what the Runner does.
-func TestDeprecatedWrappersAgree(t *testing.T) {
-	spec := Spec{
-		Workload: workload.DS2(),
-		Trace:    shortTrace(),
-		Policy:   policy.NewStatic("Fixed", cat.AtStep(5)),
-		Seed:     3,
-		GoalMs:   100,
-	}
-	oldRes, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRes, err := NewRunner().Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldRes, newRes) {
-		t.Error("Run wrapper and Runner.Run disagree")
-	}
-
-	mt := clusterSpec()
-	oldMT, err := RunMultiTenant(mt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newMT, err := NewRunner(WithParallelism(1)).RunMultiTenant(context.Background(), mt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldMT, newMT) {
-		t.Error("RunMultiTenant wrapper and serial Runner disagree")
 	}
 }

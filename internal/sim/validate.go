@@ -136,6 +136,9 @@ func (spec MultiTenantSpec) Validate() error {
 	if spec.RebalanceEvery < 0 {
 		return invalidSpec("RebalanceEvery must be ≥ 0, got %d", spec.RebalanceEvery)
 	}
+	if err := spec.Policy.Validate(); err != nil {
+		return invalidSpec("%v", err)
+	}
 	if err := spec.Contention.Validate(); err != nil {
 		return invalidSpec("%v", err)
 	}
