@@ -25,8 +25,9 @@ race:
 	$(GO) test -race -short ./...
 
 # The allocation gate: testing.AllocsPerRun must report zero heap
-# allocations for a warm Manager.Signals decision point and for the warm
-# stats kernels. Run without -race (its instrumentation allocates).
+# allocations for a warm Manager.Signals decision point, for the warm
+# stats kernels, and for a warm TailQuantile.Add (compactions included).
+# Run without -race (its instrumentation allocates).
 alloc-gate:
 	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/telemetry ./internal/stats
 
@@ -85,9 +86,10 @@ bench-fleet:
 
 # The cluster hot-path gate: a 1000-tenant cluster (parallel ticks+decide
 # over engine.TickBatch, serial apply) must give byte-identical results at
-# 1 and 8 workers, and sustain an absolute tenant-intervals/s floor (1.2x
-# the retired reference schedule's measured median). Numbers land in
-# BENCH_cluster.json.
+# 1 and 8 workers, sustain an absolute tenant-intervals/s floor (1.2x the
+# retired reference schedule's measured median), and allocate at most
+# 160 MB per run (a retain-every-latency-sample buffer took 224 MB).
+# Numbers land in BENCH_cluster.json.
 bench-cluster:
 	BENCH_JSON=BENCH_cluster.json $(GO) test -run '^$$' \
 		-bench 'BenchmarkCluster1kTenants' -benchtime 1x -benchmem .

@@ -59,11 +59,22 @@ func clusterBenchSpec(tenants, intervals int) sim.MultiTenantSpec {
 // tenant-intervals/s (range 9236-10537); 1.2 x 9984 = 11981, rounded up.
 const minClusterTenantIntervalsPerSec = 12000
 
+// maxClusterAllocMBPerOp is the bench-cluster memory ceiling: heap bytes
+// allocated by one 8-worker run, spec construction included (the scope
+// of -benchmem's B/op). Keeping every request's latency until the run
+// ends cost 224 MB per run (1000 tenants x 12 intervals, of which the
+// pre-sized sample buffers were 1000 x 12 x 60 x 24 float64s = 138 MB);
+// keeping only the samples that can still be a tenant's P95 costs 112 MB
+// (x86-64, Go 1.24). 160 MB sits between the two, so a retain-everything
+// buffer cannot come back unnoticed.
+const maxClusterAllocMBPerOp = 160
+
 // BenchmarkCluster1kTenants is the cluster hot-path gate on a 1000-tenant
 // cluster (parallel ticks+decide over engine.TickBatch, serial apply). It
 // first proves the schedule is worker-count independent — the 1-worker
 // and 8-worker runs must be byte-identical — then requires the best of
-// three 8-worker runs to sustain minClusterTenantIntervalsPerSec.
+// three 8-worker runs to sustain minClusterTenantIntervalsPerSec and
+// every 8-worker run to allocate at most maxClusterAllocMBPerOp.
 // `make bench-cluster` records the numbers in BENCH_cluster.json.
 func BenchmarkCluster1kTenants(b *testing.B) {
 	const tenants, intervals, workers = 1000, 12, 8
@@ -72,31 +83,35 @@ func BenchmarkCluster1kTenants(b *testing.B) {
 	// Spec construction (workloads, traces) is test scaffolding, not the
 	// measured hot path: build it before starting the clock, fresh per run
 	// so no run warms state for the next.
-	run := func(workers int) (float64, sim.MultiTenantResult) {
+	run := func(workers int) (float64, float64, sim.MultiTenantResult) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		spec := clusterBenchSpec(tenants, intervals)
 		r := sim.NewRunner(sim.WithParallelism(workers))
-		// Every run retires ~140MB of latency samples; collect before the
-		// clock starts so one run's garbage never inflates the next one's
-		// measurement.
+		// Collect the previous run's garbage before the clock starts so it
+		// never inflates this run's measurement.
 		runtime.GC()
 		start := time.Now()
 		res, err := r.RunMultiTenant(ctx, spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return float64(time.Since(start).Nanoseconds()), res
+		ns := float64(time.Since(start).Nanoseconds())
+		runtime.ReadMemStats(&after)
+		return ns, float64(after.TotalAlloc-before.TotalAlloc) / 1e6, res
 	}
 
 	// Correctness first: the result must not depend on the worker count.
-	_, serial := run(1)
-	bestNs := -1.0
+	_, _, serial := run(1)
+	bestNs, allocMB := -1.0, 0.0
 	var parallel sim.MultiTenantResult
 	for rep := 0; rep < 3; rep++ {
-		ns, res := run(workers)
+		ns, mb, res := run(workers)
 		parallel = res
 		if bestNs < 0 || ns < bestNs {
 			bestNs = ns
 		}
+		allocMB = max(allocMB, mb)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		b.Fatalf("cluster run at %d workers diverged from the 1-worker run (migrations %d vs %d, refusals %d vs %d)",
@@ -108,9 +123,13 @@ func BenchmarkCluster1kTenants(b *testing.B) {
 		b.Fatalf("cluster run sustains %.0f tenant-intervals/s, want >= %.0f",
 			tenantIntervalsPerSec, float64(minClusterTenantIntervalsPerSec))
 	}
+	if allocMB > maxClusterAllocMBPerOp {
+		b.Fatalf("cluster run allocates %.1f MB, want <= %d MB", allocMB, maxClusterAllocMBPerOp)
+	}
 	printOnce("cluster-1k", func() {
-		fmt.Printf("\nCluster hot path: %d tenants x %d intervals @ %d workers: %.0f ms (%.0f tenant-intervals/s, floor %.0f)\n",
-			tenants, intervals, workers, bestNs/1e6, tenantIntervalsPerSec, float64(minClusterTenantIntervalsPerSec))
+		fmt.Printf("\nCluster hot path: %d tenants x %d intervals @ %d workers: %.0f ms (%.0f tenant-intervals/s, floor %.0f), %.1f MB allocated (ceiling %d)\n",
+			tenants, intervals, workers, bestNs/1e6, tenantIntervalsPerSec, float64(minClusterTenantIntervalsPerSec),
+			allocMB, maxClusterAllocMBPerOp)
 	})
 	b.ReportMetric(tenantIntervalsPerSec, "tenant-intervals/s")
 	recordBench("Cluster1kTenants", map[string]float64{
@@ -120,6 +139,8 @@ func BenchmarkCluster1kTenants(b *testing.B) {
 		"run_ms":                       bestNs / 1e6,
 		"tenant_intervals_per_s":       tenantIntervalsPerSec,
 		"floor_tenant_intervals_per_s": minClusterTenantIntervalsPerSec,
+		"alloc_mb_per_op":              allocMB,
+		"ceiling_alloc_mb_per_op":      maxClusterAllocMBPerOp,
 		"gomaxprocs":                   float64(runtime.GOMAXPROCS(0)),
 		"migrations":                   float64(parallel.Migrations),
 		"refusals":                     float64(parallel.Refusals),

@@ -96,6 +96,7 @@ func (e *Engine) TickBatch(offered []float64) {
 	peakV := a.peakUtil
 	wl := a.waitMs
 	lat := a.latSamples
+	latSum := a.latSum
 	txns := a.txns
 	offSum := a.offeredSum
 	pReadsSum := a.physReads
@@ -240,6 +241,7 @@ func (e *Engine) TickBatch(offered []float64) {
 				f := math.Exp(sigma * rng.NormFloat64())
 				sample := perTxnLatency * f
 				lat = append(lat, sample)
+				latSum += sample
 			}
 			txns += off
 		}
@@ -285,6 +287,7 @@ func (e *Engine) TickBatch(offered []float64) {
 	a.peakUtil = peakV
 	a.waitMs = wl
 	a.latSamples = lat
+	a.latSum = latSum
 	a.txns = txns
 	a.offeredSum = offSum
 	a.physReads = pReadsSum

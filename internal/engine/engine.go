@@ -221,17 +221,22 @@ type intervalAccumulator struct {
 	peakUtil          resource.Vector
 	waitMs            [telemetry.NumWaitClasses]float64
 	latSamples        []float64
-	txns              float64
-	offeredSum        float64
-	physReads         float64
-	physWrites        float64
-	ticks             int
+	// latSum is the sum of latSamples in generation order, accumulated
+	// as each sample is drawn so EndInterval needs no second pass.
+	latSum     float64
+	txns       float64
+	offeredSum float64
+	physReads  float64
+	physWrites float64
+	ticks      int
 }
 
 // MaxLatencySamplesPerTick caps how many per-request latency samples one
-// tick records: min(offered, this) per tick.
-// Collectors sizing run-level sample buffers use it as the per-tick upper
-// bound.
+// tick records: min(offered, this), and at least one on a tick with any
+// load. It is the per-tick factor of loop.TenantLoop's run-level sample
+// bound (intervals × TicksPerInterval × this), and that bound is what
+// keeps the loop's bounded P95 selector exact, so raising the cap here
+// raises the bound with it.
 const MaxLatencySamplesPerTick = 24
 
 // maxRetainedLatSamples caps the latency-sample backing array an engine
@@ -330,7 +335,7 @@ func (e *Engine) MemoryUsedMB() float64 { return e.usedMB }
 // run-level percentiles across container changes. The slice aliases the
 // engine's internal buffer: it is valid only until the next Tick,
 // TickBatch or EndInterval call and must not be mutated, so collectors
-// copy it once per interval, before EndInterval.
+// read it once per interval, before EndInterval.
 func (e *Engine) IntervalLatencies() []float64 { return e.acc.latSamples }
 
 // SheddedWork reports the cumulative work shed because a resource backlog
@@ -398,15 +403,10 @@ func (e *Engine) EndInterval() telemetry.Snapshot {
 		s.OfferedRPS = a.offeredSum / float64(a.ticks)
 	}
 	if len(a.latSamples) > 0 {
-		var sum float64
-		for _, l := range a.latSamples {
-			sum += l
-		}
-		s.AvgLatencyMs = sum / float64(len(a.latSamples))
-		// The samples are discarded right after, so select the tail
-		// percentile in place — no copy, no sort.
-		// The sample array is reset right after this, so the selection's
-		// in-place permutation is dead state: the unordered variant's
+		s.AvgLatencyMs = a.latSum / float64(len(a.latSamples))
+		// The sample array is reset right after this, so the tail
+		// percentile selects in place — no copy, no sort — and the
+		// selection's permutation is dead state: the unordered variant's
 		// cheaper partition scheme applies.
 		s.P95LatencyMs = stats.QuantileSelectUnordered(a.latSamples, 0.95)
 	}

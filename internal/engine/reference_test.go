@@ -176,6 +176,7 @@ func (e *Engine) tickReference(offered float64) {
 			f := math.Exp(o.LatencySigma * e.rng.NormFloat64())
 			sample := perTxnLatency * f
 			a.latSamples = append(a.latSamples, sample)
+			a.latSum += sample
 		}
 		a.txns += offered
 	}

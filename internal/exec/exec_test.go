@@ -55,15 +55,26 @@ func TestForEachFirstErrorWins(t *testing.T) {
 	var ran atomic.Int64
 	err := ForEach(context.Background(), 1000, Options{Workers: 4}, func(ctx context.Context, i int) error {
 		ran.Add(1)
-		if i == 10 {
+		switch {
+		case i == 10:
 			return fmt.Errorf("task %d: %w", i, boom)
+		case i > 10:
+			// Tasks after the failing one hold their worker until the
+			// batch is canceled, so the error always lands before the
+			// batch can drain: indexes are handed out in order, so task
+			// 10 is already running on some worker.
+			select {
+			case <-ctx.Done():
+			case <-time.After(10 * time.Second):
+				t.Errorf("task %d: batch not canceled 10s after task 10 failed", i)
+			}
 		}
 		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	// The error cancels the batch: nowhere near all 1000 tasks should run.
+	// The error cancels the batch: nowhere near all 1000 tasks run.
 	if n := ran.Load(); n == 1000 {
 		t.Error("error did not short-circuit the batch")
 	}

@@ -123,15 +123,13 @@ type Config[T comparable] struct {
 	// every apply — the container loops' contract. The ballooning loop
 	// leaves it off: its applier already owns the memory target.
 	SetMemoryTarget bool
-	// CollectLatencies copies every interval's latency samples into a
-	// run-level buffer so Finalize can compute P95/Avg over every request.
-	CollectLatencies bool
-	// SampleCapacityHint pre-sizes the run-level latency buffer (used with
-	// CollectLatencies) so collection never reallocates mid-run. Runners
-	// that know their interval count pass
-	// intervals × TicksPerInterval × engine.MaxLatencySamplesPerTick;
-	// zero grows on demand.
-	SampleCapacityHint int
+	// LatencyIntervals, when positive, computes Totals.P95Ms and AvgMs over
+	// every request of a run of at most that many RunTicks intervals; zero
+	// leaves them off. The loop bounds the run's samples at
+	// LatencyIntervals × TicksPerInterval × engine.MaxLatencySamplesPerTick
+	// and keeps only those that can still be the run's P95 (see
+	// stats.TailQuantile); a run past the bound panics.
+	LatencyIntervals int
 }
 
 // TenantLoop steps one tenant's control loop. It is single-goroutine
@@ -150,7 +148,9 @@ type TenantLoop[T comparable] struct {
 	observed  bool
 	totalCost float64
 	changes   int
-	samples   []float64
+	// lat is the run-level latency selector (nil unless
+	// Config.LatencyIntervals).
+	lat *stats.TailQuantile
 
 	// offered is the per-interval offered-load buffer RunTicks hands to
 	// engine.TickBatch, reused across intervals.
@@ -182,7 +182,7 @@ type Totals struct {
 	Changes        int
 	ChangeFraction float64
 	// P95Ms and AvgMs are computed over every request of the whole run
-	// (zero unless Config.CollectLatencies).
+	// (zero unless Config.LatencyIntervals).
 	P95Ms float64
 	AvgMs float64
 	// Faults and Actuation are the channels' cumulative counters.
@@ -209,29 +209,11 @@ func New[T comparable](cfg Config[T]) *TenantLoop[T] {
 		// run seed alone, never from scheduling.
 		lp.act = actuate.New(cfg.Actuation, exec.SplitSeed(cfg.Seed, ActuationStreamSalt), cfg.Applier.Actual())
 	}
-	if cfg.CollectLatencies && cfg.SampleCapacityHint > 0 {
-		lp.samples = make([]float64, 0, cfg.SampleCapacityHint)
+	if cfg.LatencyIntervals > 0 {
+		perInterval := cfg.Engine.TicksPerInterval() * engine.MaxLatencySamplesPerTick
+		lp.lat = stats.NewTailQuantile(0.95, cfg.LatencyIntervals*perInterval, perInterval)
 	}
 	return lp
-}
-
-// appendSamples bulk-appends one interval's latency samples to the
-// run-level buffer. Growth doubles the backing array instead of relying on
-// append's growth factor: the buffer holds every request of the run
-// (hundreds of intervals), and doubling keeps the total bytes moved across
-// a run linear in the final size. Samples keep generation order, which
-// fixes Finalize's percentile/mean bit pattern.
-func (lp *TenantLoop[T]) appendSamples(s []float64) {
-	if need := len(lp.samples) + len(s); need > cap(lp.samples) {
-		grow := 2 * cap(lp.samples)
-		if grow < need {
-			grow = need
-		}
-		ns := make([]float64, len(lp.samples), grow)
-		copy(ns, lp.samples)
-		lp.samples = ns
-	}
-	lp.samples = append(lp.samples, s...)
 }
 
 // RunTicks drives one billing interval of engine work at the given target
@@ -251,9 +233,9 @@ func (lp *TenantLoop[T]) RunTicks(targetRPS float64) {
 		buf[t] = lp.gen.Offered(targetRPS)
 	}
 	lp.eng.TickBatch(buf)
-	if lp.cfg.CollectLatencies {
-		// Bulk-copy the interval's samples before EndInterval resets them.
-		lp.appendSamples(lp.eng.IntervalLatencies())
+	if lp.lat != nil {
+		// Feed the interval's samples before EndInterval resets them.
+		lp.lat.Add(lp.eng.IntervalLatencies())
 	}
 	lp.snap = lp.eng.EndInterval()
 }
@@ -485,12 +467,9 @@ func (lp *TenantLoop[T]) Finalize(intervals int) Totals {
 		tot.AvgCostPerInterval = tot.TotalCost / float64(intervals)
 		tot.ChangeFraction = float64(tot.Changes) / float64(intervals)
 	}
-	if len(lp.samples) > 0 {
-		// The sample buffer is private to this loop and dead after these
-		// aggregates, so the percentile selects in place (order is
-		// irrelevant to Mean).
-		tot.P95Ms = stats.QuantileSelect(lp.samples, 0.95)
-		tot.AvgMs = stats.Mean(lp.samples)
+	if lp.lat != nil && lp.lat.Count() > 0 {
+		tot.P95Ms = lp.lat.Quantile()
+		tot.AvgMs = lp.lat.Mean()
 	}
 	if lp.inj != nil {
 		tot.Faults = lp.inj.Stats()

@@ -3,6 +3,7 @@ package loop
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"daasscale/internal/actuate"
@@ -10,6 +11,7 @@ import (
 	"daasscale/internal/faults"
 	"daasscale/internal/policy"
 	"daasscale/internal/resource"
+	"daasscale/internal/stats"
 	"daasscale/internal/telemetry"
 	"daasscale/internal/workload"
 )
@@ -318,3 +320,56 @@ type failingApplier struct {
 
 func (a failingApplier) Apply(resource.Container) error { return a.err }
 func (a failingApplier) Actual() resource.Container     { return a.eng.Container() }
+
+// TestFinalizeLatencyMatchesRetainAll pins the run-level latency
+// aggregates to the retain-every-sample oracle: a twin engine replays the
+// loop's ticks (same seed, same offered loads, same container each
+// interval), and Finalize's P95Ms and AvgMs must equal QuantileSelect and
+// the arrival-order Mean over every sample, bit for bit.
+func TestFinalizeLatencyMatchesRetainAll(t *testing.T) {
+	const intervals = 30
+	eng, cont := testEngine(t)
+	twin, _ := testEngine(t)
+	cat := resource.LockStepCatalog()
+	lp := New(Config[resource.Container]{
+		ID:     "oracle",
+		Engine: eng,
+		Seed:   7,
+		Jitter: 0.1,
+		Decider: NewPolicyDecider(&scriptedPolicy{
+			cont: cont,
+			decs: []policy.Decision{
+				{Target: cat.AtStep(1), Changed: true},
+				{Target: cat.AtStep(4), Changed: true},
+				{Target: cat.AtStep(2), Changed: true},
+			},
+		}, eng),
+		Applier:          EngineApplier{Engine: eng},
+		LatencyIntervals: intervals,
+	})
+	gen := workload.NewGenerator(7+GeneratorSeedOffset, 0.1)
+	offered := make([]float64, twin.TicksPerInterval())
+	var all []float64
+	for m := 0; m < intervals; m++ {
+		load := 30 + float64(m%7)*40
+		twin.SetContainer(eng.Container())
+		for i := range offered {
+			offered[i] = gen.Offered(load)
+		}
+		twin.TickBatch(offered)
+		all = append(all, twin.IntervalLatencies()...)
+		twin.EndInterval()
+		if err := lp.Step(m, load); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tot := lp.Finalize(intervals)
+	mean := stats.Mean(all)
+	p95 := stats.QuantileSelect(append([]float64(nil), all...), 0.95)
+	if math.Float64bits(tot.P95Ms) != math.Float64bits(p95) {
+		t.Errorf("P95Ms = %v, retain-all QuantileSelect = %v", tot.P95Ms, p95)
+	}
+	if math.Float64bits(tot.AvgMs) != math.Float64bits(mean) {
+		t.Errorf("AvgMs = %v, arrival-order Mean = %v", tot.AvgMs, mean)
+	}
+}

@@ -304,11 +304,7 @@ func runMultiTenant(ctx context.Context, spec MultiTenantSpec, pool *exec.Pool, 
 			Recorder:         rec,
 			Describe:         loop.DescribeContainer,
 			SetMemoryTarget:  true,
-			CollectLatencies: true,
-			// Idle tenants (trace ended) record no samples, so this is an
-			// upper bound; it turns a run's worth of sample collection into
-			// one allocation per tenant.
-			SampleCapacityHint: intervals * eng.TicksPerInterval() * engine.MaxLatencySamplesPerTick,
+			LatencyIntervals: intervals, // an upper bound: idle tenants (trace ended) record no samples
 		})
 		return st, nil
 	})

@@ -192,9 +192,7 @@ func runSpec(ctx context.Context, spec Spec) (Result, error) {
 		Recorder:         rec,
 		Describe:         loop.DescribeContainer,
 		SetMemoryTarget:  true,
-		CollectLatencies: true,
-		SampleCapacityHint: spec.Trace.Len() * eng.TicksPerInterval() *
-			engine.MaxLatencySamplesPerTick,
+		LatencyIntervals: spec.Trace.Len(),
 	})
 
 	res := Result{

@@ -31,7 +31,34 @@ func MedianInPlace(xs []float64) float64 {
 // int(math.Floor(NaN)) would otherwise index out of range). NaN values in
 // xs never panic but make the result unspecified, as with Median.
 func QuantileSelect(xs []float64, q float64) float64 {
-	n := len(xs)
+	return quantileTop(xs, q, len(xs), selectKth)
+}
+
+// QuantileSelectUnordered returns exactly QuantileSelect's value — the same
+// order statistics fed through the same interpolation expression — but
+// leaves xs in an unspecified order, which frees it to partition with the
+// Hoare scheme: Hoare swaps only wrong-sided pairs, where the Lomuto scheme
+// in selectKth swaps every element below the pivot — for a high quantile
+// such as P95 that is nearly the whole range on the first pass. Callers
+// whose slice is dead or reset after the call (the engine's per-interval
+// P95) use this; callers that need a deterministic permutation of xs keep
+// QuantileSelect. The returned value is algorithm-independent up to the
+// sign of a zero result: which values are the k-th and (k+1)-th order
+// statistics of a multiset does not depend on how they are selected, but
+// which of two tied zeros (+0 and −0 compare equal) lands in the slot does.
+func QuantileSelectUnordered(xs []float64, q float64) float64 {
+	return quantileTop(xs, q, len(xs), selectKthHoare)
+}
+
+// quantileTop returns the q-quantile of an n-sample multiset of which xs
+// holds the len(xs) largest: the n−len(xs) absent samples are ≤ every
+// element of xs, and xs must hold every order statistic the quantile
+// reads (for q ≤ 0 that is the minimum, so nothing may be absent). The
+// needed ranks are selected in place with sel, and the value is exactly
+// the one the whole multiset would give: the same order statistics fed
+// through the same interpolation expression. QuantileSelect (n = len(xs))
+// and TailQuantile (n = every sample seen) share it.
+func quantileTop(xs []float64, q float64, n int, sel func([]float64, int)) float64 {
 	if n == 0 || math.IsNaN(q) {
 		return math.NaN()
 	}
@@ -54,9 +81,11 @@ func QuantileSelect(xs []float64, q float64) float64 {
 		return m
 	}
 	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	selectKth(xs, lo)
+	rank := int(math.Floor(pos))
+	off := n - len(xs)
+	lo := rank - off
+	hi := int(math.Ceil(pos)) - off
+	sel(xs, lo)
 	if lo == hi {
 		return xs[lo]
 	}
@@ -68,47 +97,7 @@ func QuantileSelect(xs []float64, q float64) float64 {
 			hiVal = v
 		}
 	}
-	frac := pos - float64(lo)
-	return xs[lo]*(1-frac) + hiVal*frac
-}
-
-// QuantileSelectUnordered returns exactly QuantileSelect's value — the same
-// order statistics fed through the same interpolation expression — but
-// leaves xs in an unspecified order, which frees it to partition with the
-// Hoare scheme: Hoare swaps only wrong-sided pairs, where the Lomuto scheme
-// in selectKth swaps every element below the pivot — for a high quantile
-// such as P95 that is nearly the whole range on the first pass. Callers
-// whose slice is dead or reset after the call (the engine's per-interval
-// P95) use this; callers whose later arithmetic consumes the slice in its
-// post-selection order (run-level Finalize, which sums for the mean after
-// selecting) must keep QuantileSelect, whose permutation is deterministic.
-// The returned value is algorithm-independent: which elements are the k-th
-// and (k+1)-th order statistics of a multiset does not depend on how they
-// are selected.
-func QuantileSelectUnordered(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q <= 0 || q >= 1 || n == 1 {
-		return QuantileSelect(xs, q)
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	selectKthHoare(xs, lo)
-	if lo == hi {
-		return xs[lo]
-	}
-	// hi == lo+1: after selection everything right of lo is ≥ xs[lo], so
-	// the next order statistic is the minimum of that suffix.
-	hiVal := xs[hi]
-	for _, v := range xs[hi+1:] {
-		if v < hiVal {
-			hiVal = v
-		}
-	}
-	frac := pos - float64(lo)
+	frac := pos - float64(rank)
 	return xs[lo]*(1-frac) + hiVal*frac
 }
 
