@@ -32,14 +32,18 @@ var printGoldens = false
 
 // goldenEquivalence pins the pre-refactor outputs. Captured at the seed
 // state (before internal/loop existed) and must never change except for an
-// intentional, documented behavior change.
+// intentional, documented behavior change. The one so far: the single/* and
+// comparison/* cells were re-pinned when the run-level AvgMs became the
+// arrival-order mean of every request (it had been summed after the P95
+// selection permuted the samples); their dumps differ from the seed pins
+// only in that token, by at most 1.7e-14 relative.
 var goldenEquivalence = map[string]string{
-	"single/clean":       "144048e07a12dad2ad76d6a964aa1900fd4d21d271bde3084c4362815bfed7ec",
-	"single/faults":      "84c985fb5bd42fcc0c68baa4b786b4652430f3ed4ba6f243a643f9492eddcdb5",
-	"single/chaos":       "53be47bc9a21a032763bf8f8ec9708af31d319eb70e0d780b6cafcd07dc4150a",
-	"comparison/clean":   "48cce7485c4419ce5dd04bf7a663f28d228d536e71671223174c46ae1e32a106",
-	"comparison/faults":  "669fc25d14cc294561ad0ec248a0a09c7cd50f06070630b99028fe6b6245acd6",
-	"comparison/chaos":   "fb2a54bde1bda64201ab0be2d832e27b09dd84914903b8f1a80d16d3168f7626",
+	"single/clean":       "e28d1f9e2b66fc6dcecdf597481488ef1c4cbd68f58b12325ab5828df53d721a",
+	"single/faults":      "ddf51c623440e631b26f0fd26066a4fe6cd22e22a6a4a1bd2b1876fc1388a6d4",
+	"single/chaos":       "be21707c0677cc9d8054db2cd1ef345177f5e8d27214a648d8e02257b0989e17",
+	"comparison/clean":   "2f64207094e309ca803d401add71b0b0fc6085b37a39e553308a82170753d3eb",
+	"comparison/faults":  "6e2a952910e5efbba0d599f98eb88a110ada18bbb018e6bd792f8e3e597ffe2d",
+	"comparison/chaos":   "b69bbab8bc3e2a27ff8b4177e29b84f95caf312484f7cf0bcfc79048eec40f13",
 	"multitenant/clean":  "19f5c0b5eada3042d13eb6a0a363507682ba5b358c7f7f1b90ed788f4023b75e",
 	"multitenant/faults": "9c2cdbc93318787de6c0c9360ed4c96cd7610092833a1cfa95ee460b12d07494",
 	"multitenant/chaos":  "35cd5ba91c20a116269faf46935050247aed01c5a86d508353a3b5e1fbf0d713",
