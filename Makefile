@@ -1,11 +1,12 @@
 # Build/verify entry points. `make verify` is the tier-1 gate: a clean
 # build, the full test suite, vet, the race detector over the short suite
-# (the parallel executor paths are exercised under -race there), and the
-# zero-allocation gate on the telemetry hot path.
+# (the parallel executor paths are exercised under -race there), the
+# zero-allocation gate on the telemetry hot path, the chaos suites, and a
+# run of every example program.
 
 GO ?= go
 
-.PHONY: all build test vet race alloc-gate chaos crash explain verify bench bench-all bench-fleet bench-cluster bench-fabric bench-serve profile deprecation-gate
+.PHONY: all build test vet race alloc-gate chaos crash explain verify bench bench-all bench-fleet bench-cluster bench-fabric bench-serve profile examples
 
 all: verify
 
@@ -55,23 +56,22 @@ explain:
 	$(GO) run ./cmd/daas-sim -workload ds2 -trace trace3 -faults 0.1 \
 		-actuation-latency 1 -actuation-fail 0.1 -explain -explain-rows 24
 
-# The deprecation gate: non-test code must not call the slice-materializing
-# fleet entry points (they remain only as exact oracles for tests). The
-# grep excludes internal/fleet itself, where the deprecated functions are
-# defined and wrapped.
-deprecation-gate:
-	@if grep -rn --include='*.go' --exclude='*_test.go' \
-		-E 'fleet\.(GenerateFleet(Context)?|Analyze(Context)?|ArchetypeBreakdown|CollectWaitSamples|SplitByUtilization|Correlation|Calibrate)\(' \
-		cmd examples internal --exclude-dir=fleet; then \
-		echo "deprecation-gate: non-test code calls a deprecated fleet entry point (use fleet.Stream / fleet.StreamCalibration)"; \
-		exit 1; \
-	fi
-	@echo "deprecation-gate: clean"
+# Run every example program: each must exit 0. They compile as part of
+# `build`, but only running them catches a panic or a failed assertion.
+# Output is shown only for a failing example.
+EXAMPLES := $(sort $(dir $(wildcard examples/*/main.go)))
 
-verify: build test vet race alloc-gate chaos deprecation-gate
+examples:
+	@for d in $(EXAMPLES); do \
+		echo "== $$d"; \
+		out=$$($(GO) run ./$$d 2>&1) || { echo "$$out"; echo "examples: $$d exited non-zero"; exit 1; }; \
+	done
 
-# The telemetry hot-path benchmarks; headline numbers land in
-# BENCH_telemetry.json.
+verify: build test vet race alloc-gate chaos examples
+
+# The telemetry hot-path benchmarks: the zero-allocation decision point,
+# the Theil–Sen kernel, and a 1000-tenant fleet pass held under an absolute
+# ns/decision ceiling. Headline numbers land in BENCH_telemetry.json.
 bench:
 	BENCH_JSON=BENCH_telemetry.json $(GO) test -run '^$$' \
 		-bench 'BenchmarkSignalsWindow10|BenchmarkTheilSen|BenchmarkTelemetry1kTenants' \

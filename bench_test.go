@@ -25,7 +25,6 @@ import (
 	"daasscale/internal/core"
 	"daasscale/internal/engine"
 	"daasscale/internal/estimator"
-	"daasscale/internal/exec"
 	"daasscale/internal/fleet"
 	"daasscale/internal/learned"
 	"daasscale/internal/policy"
@@ -145,11 +144,48 @@ func reportComparison(b *testing.B, title string, comp sim.Comparison) {
 // Figure 2: resource demand analysis in production (fleet change events).
 // ---------------------------------------------------------------------------
 
+// benchFleetAnalysis streams the 500-tenant, 7-day fleet study behind
+// Figure 2 and the Section 4 step-size statistics.
+func benchFleetAnalysis(b *testing.B) fleet.Analysis {
+	b.Helper()
+	spec, err := fleet.NewFleetSpec(500, 7, benchSeed, fleet.WithCatalog(resource.LockStepCatalog()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := fleet.Stream(context.Background(), spec, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Analysis
+}
+
+// benchCalibration streams the 150-configuration wait sampling behind
+// Figures 4 and 6 and returns the CPU and disk-I/O digests with the
+// calibrated thresholds.
+func benchCalibration(b *testing.B) (cpu, io *fleet.WaitDigest, th estimator.Thresholds) {
+	b.Helper()
+	spec, err := fleet.NewCalibrationSpec(150, 4, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := fleet.StreamCalibration(context.Background(), spec, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, d := range res.Digests {
+		switch d.Kind() {
+		case resource.CPU:
+			cpu = d
+		case resource.DiskIO:
+			io = d
+		}
+	}
+	return cpu, io, res.Thresholds
+}
+
 func BenchmarkFigure2a_IEICDF(b *testing.B) {
-	cat := resource.LockStepCatalog()
 	for i := 0; i < b.N; i++ {
-		f := fleet.GenerateFleet(500, 7, benchSeed)
-		a := fleet.Analyze(f, cat)
+		a := benchFleetAnalysis(b)
 		printOnce("fig2a", func() {
 			fmt.Println()
 			report.CDFTable(os.Stdout, "Figure 2(a): CDF of inter-event interval (minutes)",
@@ -160,10 +196,8 @@ func BenchmarkFigure2a_IEICDF(b *testing.B) {
 }
 
 func BenchmarkFigure2b_ChangeFrequency(b *testing.B) {
-	cat := resource.LockStepCatalog()
 	for i := 0; i < b.N; i++ {
-		f := fleet.GenerateFleet(500, 7, benchSeed)
-		a := fleet.Analyze(f, cat)
+		a := benchFleetAnalysis(b)
 		printOnce("fig2b", func() {
 			fmt.Println()
 			report.FleetSummary(os.Stdout, a)
@@ -180,15 +214,12 @@ func BenchmarkFigure2b_ChangeFrequency(b *testing.B) {
 
 func BenchmarkFigure4_WaitVsUtilization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		samples, err := fleet.CollectWaitSamples(150, 4, benchSeed)
+		cpu, io, _ := benchCalibration(b)
+		cpuRho, err := cpu.Correlation()
 		if err != nil {
 			b.Fatal(err)
 		}
-		cpuRho, err := fleet.Correlation(samples, resource.CPU)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ioRho, err := fleet.Correlation(samples, resource.DiskIO)
+		ioRho, err := io.Correlation()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,17 +237,11 @@ func BenchmarkFigure4_WaitVsUtilization(b *testing.B) {
 
 func BenchmarkFigure6_WaitDistributions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		samples, err := fleet.CollectWaitSamples(150, 4, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cpu := fleet.SplitByUtilization(samples, resource.CPU)
-		io := fleet.SplitByUtilization(samples, resource.DiskIO)
-		th := fleet.Calibrate(samples)
+		cpu, io, th := benchCalibration(b)
 		printOnce("fig6", func() {
 			fmt.Println()
-			report.WaitDistributionTable(os.Stdout, cpu)
-			report.WaitDistributionTable(os.Stdout, io)
+			report.WaitDigestTable(os.Stdout, cpu)
+			report.WaitDigestTable(os.Stdout, io)
 			fmt.Printf("calibrated: cpu LOW<%.0f HIGH>=%.0f, diskio LOW<%.0f HIGH>=%.0f ms/interval\n",
 				th.WaitLowMs[resource.CPU], th.WaitHighMs[resource.CPU],
 				th.WaitLowMs[resource.DiskIO], th.WaitHighMs[resource.DiskIO])
@@ -394,10 +419,8 @@ func BenchmarkFigure14_Ballooning(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 func BenchmarkSection4_StepSizes(b *testing.B) {
-	cat := resource.LockStepCatalog()
 	for i := 0; i < b.N; i++ {
-		f := fleet.GenerateFleet(500, 7, benchSeed)
-		a := fleet.Analyze(f, cat)
+		a := benchFleetAnalysis(b)
 		printOnce("sec4", func() {
 			fmt.Printf("\nSection 4: 1-step resizes %.1f%% (paper ≈90%%), ≤2-step %.1f%% (paper ≈98%%)\n",
 				a.OneStepShare*100, a.AtMostTwoStepsShare*100)
@@ -427,7 +450,7 @@ func BenchmarkAblationTrendRobustness(b *testing.B) {
 				ys[j] = slope*float64(j) + rng.NormFloat64()*2
 			}
 			ys[rng.Intn(n)] += -1e5 // telemetry spike
-			if tr, err := stats.TheilSen(xs, ys, stats.DefaultTrendAlpha); err == nil && tr.Significant && tr.Slope > 0 {
+			if tr, err := stats.TheilSenBuf(xs, ys, stats.DefaultTrendAlpha, new([]float64)); err == nil && tr.Significant && tr.Slope > 0 {
 				correctTS++
 			}
 			if tr, err := stats.LeastSquares(xs, ys, 0.5); err == nil && tr.Significant && tr.Slope > 0 {
@@ -983,58 +1006,13 @@ func BenchmarkExtensionPerDimensionCatalog(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// The parallel fleet engine: a 1000-tenant fleet study and a multi-tenant
-// cluster replay across worker counts. Parallelism must never change any
-// result — the determinism is asserted up front, byte for byte — so the
-// sub-benchmark deltas are pure wall-clock: near-linear speedup on
-// multi-core hosts, a small coordination overhead on a single core.
+// The parallel cluster engine: a multi-tenant cluster replay across worker
+// counts. Parallelism must never change any result — the determinism is
+// asserted up front, byte for byte — so the sub-benchmark deltas are pure
+// wall-clock: near-linear speedup on multi-core hosts, a small
+// coordination overhead on a single core. (The fleet study's worker-count
+// bit-identity is TestStreamBitIdenticalAcrossWorkersAndShards.)
 // ---------------------------------------------------------------------------
-
-func BenchmarkParallelFleet1kTenants(b *testing.B) {
-	ctx := context.Background()
-	cat := resource.LockStepCatalog()
-	const tenants, days = 1000, 7
-
-	serialFleet, err := fleet.GenerateFleetContext(ctx, tenants, days, benchSeed, exec.Options{Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	parFleet, err := fleet.GenerateFleetContext(ctx, tenants, days, benchSeed, exec.Options{Workers: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !reflect.DeepEqual(serialFleet, parFleet) {
-		b.Fatal("parallel fleet generation is not bit-identical to serial")
-	}
-	serialA, err := fleet.AnalyzeContext(ctx, serialFleet, cat, exec.Options{Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	parA, err := fleet.AnalyzeContext(ctx, serialFleet, cat, exec.Options{Workers: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !reflect.DeepEqual(serialA, parA) {
-		b.Fatal("parallel fleet analysis is not bit-identical to serial")
-	}
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := exec.Options{Workers: workers}
-			for i := 0; i < b.N; i++ {
-				f, err := fleet.GenerateFleetContext(ctx, tenants, days, benchSeed, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				a, err := fleet.AnalyzeContext(ctx, f, cat, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(a.TotalChanges), "changes")
-			}
-		})
-	}
-}
 
 func BenchmarkParallelClusterReplay(b *testing.B) {
 	ctx := context.Background()
@@ -1084,11 +1062,21 @@ func BenchmarkParallelClusterReplay(b *testing.B) {
 // ---------------------------------------------------------------------------
 // The zero-allocation telemetry pipeline: per-decision-point cost of the
 // Manager hot path, the selection-based Theil–Sen kernel, and a 1000-tenant
-// end-to-end fleet pass measured against the retained pre-optimization
-// implementation (SignalsReference). Equivalence is asserted bit for bit
-// before anything is timed, so every speedup below is a pure implementation
-// delta. `make bench` records the headline numbers in BENCH_telemetry.json.
+// end-to-end fleet pass held under an absolute per-decision ceiling. The
+// fast path's bit-identity to its oracle is a test
+// (telemetry.TestSignalsMatchReference, which replays this same fleet), so
+// nothing here times an oracle. `make bench` records the headline numbers
+// in BENCH_telemetry.json.
 // ---------------------------------------------------------------------------
+
+// maxTelemetryNsPerDecision is the ceiling on one Observe+Signals decision
+// point in BenchmarkTelemetry1kTenants (best of 3 passes). It replaces a
+// "≥2× faster than the retired allocating reference" ratio with the
+// absolute figure that ratio implied: the reference pass's median over 11
+// runs on a 2-vCPU Xeon VM (GOMAXPROCS 2, Go 1.24) was 1083.1 ms for the
+// 25,000 decisions, and 1083.1 ms ÷ 2 ÷ 25,000 = 21.66 µs. The fast path's
+// median there was 19.7 µs, the same ~9% margin the ratio left.
+const maxTelemetryNsPerDecision = 21_660
 
 // benchSnapshot populates a telemetry snapshot with noisy but finite values,
 // including frequent ties and idle (zero) wait classes, so the selection
@@ -1135,8 +1123,7 @@ func warmManager(b *testing.B, snaps []telemetry.Snapshot) *telemetry.Manager {
 }
 
 // BenchmarkSignalsWindow10 measures one decision point — Observe plus
-// Signals at the default window of 10 — on the zero-allocation fast path
-// and on the retained reference implementation.
+// Signals at the default window of 10 — on the zero-allocation fast path.
 func BenchmarkSignalsWindow10(b *testing.B) {
 	rng := rand.New(rand.NewSource(benchSeed))
 	snaps := make([]telemetry.Snapshot, 64)
@@ -1170,24 +1157,10 @@ func BenchmarkSignalsWindow10(b *testing.B) {
 			"allocs_per_op": allocs,
 		})
 	})
-
-	b.Run("reference", func(b *testing.B) {
-		m := warmManager(b, snaps)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Observe(snaps[i%len(snaps)])
-			if _, ok := m.SignalsReference(); !ok {
-				b.Fatal("signals unavailable")
-			}
-		}
-		recordBench("SignalsWindow10/reference", map[string]float64{
-			"ns_per_op": float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		})
-	})
 }
 
-// BenchmarkTheilSen compares the allocating Theil–Sen entry point with the
-// buffer-reusing kernel on a window-10 series (45 pairwise slopes).
+// BenchmarkTheilSen measures the buffer-reusing Theil–Sen kernel on a
+// window-10 series (45 pairwise slopes).
 func BenchmarkTheilSen(b *testing.B) {
 	rng := rand.New(rand.NewSource(benchSeed))
 	n := telemetry.DefaultWindow
@@ -1197,28 +1170,6 @@ func BenchmarkTheilSen(b *testing.B) {
 		xs[i] = float64(i)
 		ys[i] = 2.5*float64(i) + rng.NormFloat64()*3
 	}
-
-	b.Run("reference", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := stats.TheilSenReference(xs, ys, stats.DefaultTrendAlpha); err != nil {
-				b.Fatal(err)
-			}
-		}
-		recordBench("TheilSen/reference", map[string]float64{
-			"ns_per_op": float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		})
-	})
-
-	b.Run("alloc", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := stats.TheilSen(xs, ys, stats.DefaultTrendAlpha); err != nil {
-				b.Fatal(err)
-			}
-		}
-		recordBench("TheilSen/alloc", map[string]float64{
-			"ns_per_op": float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		})
-	})
 
 	b.Run("buf", func(b *testing.B) {
 		var buf []float64
@@ -1249,10 +1200,8 @@ func BenchmarkTheilSen(b *testing.B) {
 
 // BenchmarkTelemetry1kTenants is the end-to-end acceptance benchmark: 1000
 // tenants, each running a full telemetry stream of 25 billing intervals
-// (Observe + Signals every interval), against the same fleet pass on the
-// retained pre-optimization path. Bit-identity of every tenant's every
-// decision point is asserted before timing; the fast path must be at least
-// 2× faster per pass.
+// (Observe + Signals every interval) through a reset but arena-warm
+// manager. The best of 3 passes must stay under maxTelemetryNsPerDecision.
 func BenchmarkTelemetry1kTenants(b *testing.B) {
 	const tenants = 1000
 	const intervals = 25
@@ -1270,73 +1219,44 @@ func BenchmarkTelemetry1kTenants(b *testing.B) {
 		mgrs[i] = telemetry.NewManager(telemetry.DefaultWindow)
 	}
 
-	// Bit-identity first: every tenant, every interval, fast path vs oracle.
-	for i, stream := range streams {
-		m := mgrs[i]
-		m.Reset()
-		for j, s := range stream {
-			m.Observe(s)
-			got, okGot := m.Signals()
-			want, okWant := m.SignalsReference()
-			if okGot != okWant {
-				b.Fatalf("tenant %d interval %d: ok mismatch %v vs %v", i, j, okGot, okWant)
-			}
-			if okGot && !reflect.DeepEqual(got, want) {
-				b.Fatalf("tenant %d interval %d: fast-path Signals diverged from reference", i, j)
-			}
-		}
-	}
-
-	// One fleet pass: every tenant replays its stream through its (reset but
-	// arena-warm) manager; the sink folds a couple of signal fields so the
-	// work cannot be optimized away. Because both paths produce bit-identical
-	// Signals, the two sinks must be bitwise equal as well.
-	pass := func(signals func(*telemetry.Manager) (telemetry.Signals, bool)) float64 {
+	// One fleet pass: every tenant replays its stream through its manager;
+	// the sink folds a couple of signal fields so the work cannot be
+	// optimized away.
+	pass := func() float64 {
 		var sink float64
 		for i, stream := range streams {
 			m := mgrs[i]
 			m.Reset()
 			for _, s := range stream {
 				m.Observe(s)
-				if sig, ok := signals(m); ok {
+				if sig, ok := m.Signals(); ok {
 					sink += sig.Latency.P95Ms + sig.OfferedRPS
 				}
 			}
 		}
 		return sink
 	}
-	optimized := func() float64 { return pass((*telemetry.Manager).Signals) }
-	reference := func() float64 { return pass((*telemetry.Manager).SignalsReference) }
 
-	bestOf := func(f func() float64, reps int) (float64, float64) {
-		bestNs, sink := -1.0, 0.0
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			sink = f()
-			if ns := float64(time.Since(start).Nanoseconds()); bestNs < 0 || ns < bestNs {
-				bestNs = ns
-			}
+	bestNs := -1.0
+	for r := 0; r < 3; r++ {
+		start := time.Now()
+		pass()
+		if ns := float64(time.Since(start).Nanoseconds()); bestNs < 0 || ns < bestNs {
+			bestNs = ns
 		}
-		return bestNs, sink
 	}
-	refNs, refSink := bestOf(reference, 3)
-	optNs, optSink := bestOf(optimized, 3)
-	if refSink != optSink {
-		b.Fatalf("fleet pass sinks diverge: fast %v vs reference %v", optSink, refSink)
-	}
-	speedup := refNs / optNs
-	if speedup < 2 && !raceEnabled {
-		b.Fatalf("fast path is only %.2fx faster than the reference pass, want >= 2x", speedup)
+	bestPerDecision := bestNs / (tenants * intervals)
+	if bestPerDecision > maxTelemetryNsPerDecision && !raceEnabled {
+		b.Fatalf("fleet pass costs %.0f ns/decision (best of 3), ceiling %d", bestPerDecision, maxTelemetryNsPerDecision)
 	}
 	printOnce("telemetry-1k", func() {
-		fmt.Printf("\nTelemetry hot path: 1000-tenant fleet pass %.1f ms -> %.1f ms (%.1fx)\n",
-			refNs/1e6, optNs/1e6, speedup)
+		fmt.Printf("\nTelemetry hot path: 1000-tenant fleet pass %.1f ms, %.0f ns/decision (ceiling %d)\n",
+			bestNs/1e6, bestPerDecision, maxTelemetryNsPerDecision)
 	})
-	b.ReportMetric(speedup, "speedup-x")
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		optimized()
+		pass()
 	}
 	perPassNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(perPassNs/(tenants*intervals), "ns/decision")
@@ -1344,7 +1264,7 @@ func BenchmarkTelemetry1kTenants(b *testing.B) {
 		"tenants":              tenants,
 		"intervals_per_tenant": intervals,
 		"ns_per_pass_fast":     perPassNs,
-		"ns_per_pass_ref":      refNs,
-		"speedup_x":            speedup,
+		"best_ns_per_decision": bestPerDecision,
+		"max_ns_per_decision":  maxTelemetryNsPerDecision,
 	})
 }

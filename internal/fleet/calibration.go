@@ -93,13 +93,10 @@ type CalibrationResult struct {
 // StreamCalibration runs the Section 4.1 calibration shard by shard:
 // each shard simulates its configurations, folds every interval's
 // (utilization, wait) observation into per-kind WaitDigests, and discards
-// the engines. Unlike the deprecated CollectWaitSamples — whose single
-// sequential RNG makes it inherently serial — each configuration draws its
-// randomness from exec.SplitSeed(seed, config), so shards are independent
-// and the merged result is bit-identical at any worker count, shard size,
-// and checkpoint/resume split. The two sample streams therefore differ for
-// the same seed; CollectWaitSamples remains the oracle only for its own
-// callers.
+// the engines. Each configuration draws its randomness from
+// exec.SplitSeed(seed, config), so shards are independent and the merged
+// result is bit-identical at any worker count, shard size, and
+// checkpoint/resume split.
 func StreamCalibration(ctx context.Context, spec CalibrationSpec, visit func(CalibrationShard) error) (CalibrationResult, error) {
 	o := spec.opts
 	if o.shardSize <= 0 {
@@ -164,10 +161,10 @@ func newCalibrationDigests(alpha float64) []*WaitDigest {
 	return out
 }
 
-// runCalibrationShard simulates the shard's configurations. The per-config
-// randomized setup mirrors CollectWaitSamples (same workload families,
-// container ladder draw, load range and jitter) but draws from a
-// config-split RNG so the shard is self-contained.
+// runCalibrationShard simulates the shard's configurations: a random
+// workload family, container ladder step, load level and per-tick jitter
+// per configuration, drawn from a config-split RNG so the shard is
+// self-contained.
 func runCalibrationShard(ctx context.Context, spec CalibrationSpec, shard int) (CalibrationShard, error) {
 	o := spec.opts
 	first := shard * o.shardSize

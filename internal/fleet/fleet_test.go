@@ -1,12 +1,8 @@
 package fleet
 
 import (
-	"context"
-	"errors"
-	"reflect"
 	"testing"
 
-	"daasscale/internal/exec"
 	"daasscale/internal/resource"
 	"daasscale/internal/stats"
 )
@@ -74,7 +70,7 @@ func TestChangeEvents(t *testing.T) {
 	assignment := []resource.Container{
 		cat.AtStep(0), cat.AtStep(0), cat.AtStep(2), cat.AtStep(1), cat.AtStep(1),
 	}
-	events := ChangeEvents(assignment)
+	events := changeEventsInto(assignment, nil)
 	if len(events) != 2 {
 		t.Fatalf("events = %+v", events)
 	}
@@ -227,71 +223,5 @@ func TestCalibrateKeepsDefaultsWithoutSamples(t *testing.T) {
 	}
 	if err := th.Validate(); err != nil {
 		t.Errorf("default calibration invalid: %v", err)
-	}
-}
-
-func TestArchetypeBreakdown(t *testing.T) {
-	f := GenerateFleet(300, 5, 13)
-	br := ArchetypeBreakdown(f, cat)
-	if len(br) < 4 {
-		t.Fatalf("breakdown covers %d archetypes", len(br))
-	}
-	for a, v := range br {
-		if v < 0 {
-			t.Errorf("%v: negative changes/day %v", a, v)
-		}
-	}
-	// Spiky tenants must churn clearly more than steady ones. (Steady
-	// tenants still flap when their level sits near a container boundary —
-	// the phenomenon hysteresis exists for — so the gap is bounded.)
-	if br[Spiky] < 1.5*br[Steady] {
-		t.Errorf("spiky (%v) should clearly exceed steady (%v)", br[Spiky], br[Steady])
-	}
-	if got := ArchetypeBreakdown(nil, cat); len(got) != 0 {
-		t.Errorf("empty fleet breakdown = %v", got)
-	}
-}
-
-func TestParallelFleetBitIdentical(t *testing.T) {
-	// Worker count must never change what the fleet paths produce: tenant
-	// RNGs are derived per index (exec.SplitSeed) and analysis aggregation
-	// is serial in index order.
-	ctx := context.Background()
-	serialFleet, err := GenerateFleetContext(ctx, 30, 2, 42, exec.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parFleet, err := GenerateFleetContext(ctx, 30, 2, 42, exec.Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serialFleet, parFleet) {
-		t.Fatal("parallel fleet generation differs from serial")
-	}
-	serialA, err := AnalyzeContext(ctx, serialFleet, cat, exec.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parA, err := AnalyzeContext(ctx, serialFleet, cat, exec.Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serialA, parA) {
-		t.Error("parallel analysis differs from serial")
-	}
-	if !reflect.DeepEqual(serialA, Analyze(serialFleet, cat)) {
-		t.Error("Analyze wrapper differs from AnalyzeContext")
-	}
-}
-
-func TestFleetContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := GenerateFleetContext(ctx, 10, 1, 1, exec.Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("GenerateFleetContext: err = %v, want context.Canceled", err)
-	}
-	f := GenerateFleet(4, 1, 1)
-	if _, err := AnalyzeContext(ctx, f, cat, exec.Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("AnalyzeContext: err = %v, want context.Canceled", err)
 	}
 }

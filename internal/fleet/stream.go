@@ -11,8 +11,7 @@ import (
 	"daasscale/internal/resource"
 )
 
-// This file is the streaming fleet API — the replacement for the
-// slice-materializing GenerateFleet/Analyze pipeline. A run is described by
+// This file is the streaming fleet API. A run is described by
 // a FleetSpec (functional options, mirroring sim.Runner), executed by
 // Stream, and observed through a visitor: tenants are generated, assigned
 // containers, reduced to change events and folded into per-shard Aggregates
@@ -189,8 +188,7 @@ type StreamResult struct {
 }
 
 // Stream runs the fleet study shard by shard. Each shard generates its
-// tenants from per-tenant SplitSeed RNG streams (bit-identical to
-// GenerateFleet), folds them into a shard Aggregate while reusing one
+// tenants from per-tenant SplitSeed RNG streams, folds them into a shard Aggregate while reusing one
 // demand/assignment/event buffer set across the whole shard, and discards
 // them. Shards execute in parallel but merge — and visit, when visit is
 // non-nil — in shard-index order, so the merged result is deterministic at

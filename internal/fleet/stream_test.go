@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"daasscale/internal/exec"
 	"daasscale/internal/resource"
 )
 
@@ -67,7 +66,7 @@ func TestNewFleetSpecValidation(t *testing.T) {
 }
 
 // TestStreamMatchesAnalyzeOracle checks the streaming pipeline against the
-// deprecated in-memory path on a 1k fleet: every Analysis field derived
+// exact in-memory oracle on a 1k fleet: every Analysis field derived
 // from integer counters must be bit-identical, and the sketch-resolution
 // IEI quantiles must be within the sketch accuracy of the exact sample
 // quantiles.
@@ -112,7 +111,7 @@ func TestStreamMatchesAnalyzeOracle(t *testing.T) {
 	var iei []float64
 	fleet := GenerateFleet(tenants, days, seed)
 	for i := range fleet {
-		events := ChangeEvents(AssignContainers(&fleet[i], cat))
+		events := changeEventsInto(assignContainersInto(&fleet[i], cat, nil), nil)
 		for j := 1; j < len(events); j++ {
 			iei = append(iei, float64(events[j].Interval-events[j-1].Interval)*5)
 		}
@@ -260,7 +259,7 @@ func TestStreamCalibrationBitIdentical(t *testing.T) {
 }
 
 // TestWaitDigestMatchesExactCalibrate feeds the identical sample stream to
-// the deprecated exact pipeline and to WaitDigests, and checks the
+// the exact oracle pipeline and to WaitDigests, and checks the
 // sketch-derived thresholds stay within the documented error bound of the
 // exact ones, with correlation exactly equal while the reservoir holds
 // every sample.
@@ -272,7 +271,9 @@ func TestWaitDigestMatchesExactCalibrate(t *testing.T) {
 	digests := newCalibrationDigests(0)
 	for _, s := range samples {
 		for _, d := range digests {
-			d.ObserveSample(s)
+			if s.Kind == d.Kind() {
+				d.Observe(s.Utilization, s.WaitMs, s.WaitPct)
+			}
 		}
 	}
 	exact := Calibrate(samples)
@@ -414,7 +415,7 @@ func TestAggregateBinaryRoundTrip(t *testing.T) {
 
 // TestArchetypeRatesOrdering sanity-checks the streaming per-archetype
 // rates: spiky tenants must change containers far more often than steady
-// ones, mirroring the deprecated ArchetypeBreakdown's shape.
+// ones.
 func TestArchetypeRatesOrdering(t *testing.T) {
 	res, err := Stream(context.Background(), mustFleetSpec(t, 1000, 2, 8, WithShardSize(200)), nil)
 	if err != nil {
@@ -426,19 +427,5 @@ func TestArchetypeRatesOrdering(t *testing.T) {
 	}
 	if rates[Spiky] <= rates[Steady] {
 		t.Errorf("spiky rate %v should exceed steady rate %v", rates[Spiky], rates[Steady])
-	}
-}
-
-// TestDeprecatedWrappersStillExact pins that the deprecated entry points
-// remain the exact oracle: GenerateFleet through the buffer-reusing
-// internals must equal a direct per-tenant generation.
-func TestDeprecatedWrappersStillExact(t *testing.T) {
-	f1 := GenerateFleet(50, 2, 123)
-	f2, err := GenerateFleetContext(context.Background(), 50, 2, 123, exec.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f1, f2) {
-		t.Error("GenerateFleet and GenerateFleetContext disagree")
 	}
 }

@@ -18,9 +18,9 @@ import (
 // is identical for any shard size and worker count.
 const corrReservoirCap = 4096
 
-// WaitDigest is the streaming, mergeable replacement for the
-// WaitSample-slice pipeline (SplitByUtilization → Separation/Correlation →
-// Calibrate): one digest per resource kind accumulates the Figure 6
+// WaitDigest is the streaming, mergeable summary behind the Figure 4/6
+// analyses and the Section 4.1 calibration: one digest per resource kind
+// accumulates the Figure 6
 // low/high-utilization wait distributions as quantile sketches, plus a
 // bounded reservoir for Figure 4's rank correlation, in O(bins) memory
 // regardless of how many intervals were observed.
@@ -69,7 +69,7 @@ func (d *WaitDigest) HighPct() *stats.Sketch { return d.highPct }
 
 // Observe folds one (utilization, wait) interval observation into the
 // digest. Mid-band utilization (30%–70%) contributes to the correlation
-// reservoir but to neither wait distribution, matching SplitByUtilization.
+// reservoir but to neither wait distribution.
 func (d *WaitDigest) Observe(utilization, waitMs, waitPct float64) {
 	switch {
 	case utilization < 0.30:
@@ -84,14 +84,6 @@ func (d *WaitDigest) Observe(utilization, waitMs, waitPct float64) {
 		d.corrWait = append(d.corrWait, waitMs)
 	}
 	d.corrSeen++
-}
-
-// ObserveSample folds a WaitSample of the digest's kind; samples for other
-// kinds are ignored, so a mixed stream can be fanned to several digests.
-func (d *WaitDigest) ObserveSample(s WaitSample) {
-	if s.Kind == d.kind {
-		d.Observe(s.Utilization, s.WaitMs, s.WaitPct)
-	}
 }
 
 // Merge folds o into d. Sketch merges are exact; the correlation reservoir
@@ -128,10 +120,11 @@ func (d *WaitDigest) Merge(o *WaitDigest) error {
 	return nil
 }
 
-// Separation is the streaming form of WaitDistributions.Separation: the
-// ratio of the high-utilization distribution's 75th percentile to the
-// low-utilization distribution's 90th percentile, denominator floored at
-// one second per interval.
+// Separation quantifies how far apart the low- and high-utilization wait
+// distributions are (Figure 6): the ratio of the high-utilization
+// distribution's 75th percentile to the low-utilization distribution's
+// 90th percentile, denominator floored at one second per interval (idle
+// tenants often have exactly zero waits). >1 means separated.
 func (d *WaitDigest) Separation() float64 {
 	lo := d.lowMs.Quantile(0.90)
 	hi := d.highMs.Quantile(0.75)
@@ -141,9 +134,9 @@ func (d *WaitDigest) Separation() float64 {
 	return hi / lo
 }
 
-// Correlation is the streaming form of the package-level Correlation:
-// Spearman's ρ between utilization and wait magnitude over the retained
-// reservoir (the first corrReservoirCap observations).
+// Correlation is Figure 4's statistic: Spearman's ρ between utilization
+// and wait magnitude over the retained reservoir (the first
+// corrReservoirCap observations) — positive but far from 1.
 func (d *WaitDigest) Correlation() (float64, error) {
 	var sc stats.SpearmanScratch
 	return stats.SpearmanBuf(d.corrUtil, d.corrWait, &sc)
@@ -152,12 +145,15 @@ func (d *WaitDigest) Correlation() (float64, error) {
 // Calibrate derives the Section 4.1 threshold pair from the digest: the
 // LOW threshold from the low-utilization distribution's 90th percentile,
 // the HIGH threshold from the high-utilization distribution's 10th
-// percentile, both clamped to the operating range used by the exact
-// Calibrate. ok is false when either band has fewer than 30 observations;
-// callers should then keep defaults. Each quantile is within the sketch's
-// relative accuracy of the exact sample quantile, so the thresholds are
-// within that bound of Calibrate's (before clamping, which only shrinks
-// the gap).
+// percentile, both clamped to a sane operating range. The
+// high-utilization population is bimodal (stable stints with modest waits,
+// saturated stints whose waits grow without bound), so the HIGH threshold
+// sits at its lower edge, not at its saturation-dominated upper
+// percentiles. ok is false when either band has fewer than 30
+// observations; callers should then keep defaults. Each quantile is within
+// the sketch's relative accuracy of the exact sample quantile, so the
+// thresholds are within that bound of an exact sort-based calibration
+// (before clamping, which only shrinks the gap).
 func (d *WaitDigest) Calibrate() (low, high float64, ok bool) {
 	if d.LowCount() < 30 || d.HighCount() < 30 {
 		return 0, 0, false
@@ -167,9 +163,9 @@ func (d *WaitDigest) Calibrate() (low, high float64, ok bool) {
 	return low, high, true
 }
 
-// CalibrateDigests assembles estimator thresholds from per-kind digests,
-// the streaming counterpart of Calibrate([]WaitSample). Kinds without a
-// digest — or without enough observations — keep the defaults.
+// CalibrateDigests assembles estimator thresholds from per-kind digests.
+// Kinds without a digest — or without enough observations — keep the
+// defaults.
 func CalibrateDigests(digests []*WaitDigest) estimator.Thresholds {
 	th := estimator.DefaultThresholds()
 	for _, d := range digests {

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -83,8 +84,15 @@ func TestDrilldownNaNPerformance(t *testing.T) {
 }
 
 func TestFleetSummary(t *testing.T) {
-	f := fleet.GenerateFleet(30, 3, 1)
-	a := fleet.Analyze(f, resource.LockStepCatalog())
+	spec, err := fleet.NewFleetSpec(30, 3, 1, fleet.WithCatalog(resource.LockStepCatalog()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fleet.Stream(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := res.Analysis
 	var buf bytes.Buffer
 	FleetSummary(&buf, a)
 	out := buf.String()
@@ -95,18 +103,23 @@ func TestFleetSummary(t *testing.T) {
 	}
 }
 
+// TestWaitDistributionTable: the Figure 6 wait-distribution table, rendered
+// from a fleet.WaitDigest's sketches.
 func TestWaitDistributionTable(t *testing.T) {
-	d := fleet.WaitDistributions{
-		LowUtilWaitMs:   []float64{10, 20, 30},
-		HighUtilWaitMs:  []float64{1000, 2000, 4000},
-		LowUtilWaitPct:  []float64{0.1, 0.2, 0.1},
-		HighUtilWaitPct: []float64{0.7, 0.8, 0.9},
+	d := fleet.NewWaitDigest(resource.CPU, 0)
+	for i, w := range []float64{10, 20, 30} {
+		d.Observe(0.1, w, []float64{0.1, 0.2, 0.1}[i])
+	}
+	for i, w := range []float64{1000, 2000, 4000} {
+		d.Observe(0.9, w, []float64{0.7, 0.8, 0.9}[i])
 	}
 	var buf bytes.Buffer
-	WaitDistributionTable(&buf, d)
+	WaitDigestTable(&buf, d)
 	out := buf.String()
-	if !strings.Contains(out, "separation") || !strings.Contains(out, "p75") {
-		t.Errorf("distribution table missing content:\n%s", out)
+	for _, want := range []string{"wait distributions for cpu", "3 samples", "separation", "p75", "%-wait medians"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("digest table missing %q:\n%s", want, out)
+		}
 	}
 }
 

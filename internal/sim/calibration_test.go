@@ -17,11 +17,15 @@ func TestCalibratedThresholdsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
-	samples, err := fleet.CollectWaitSamples(150, 4, 42)
+	spec, err := fleet.NewCalibrationSpec(150, 4, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := fleet.Calibrate(samples)
+	cal, err := fleet.StreamCalibration(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := cal.Thresholds
 	if err := th.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,11 @@
-// Buffered variants of the derived-signal estimators. TheilSen and
-// Spearman are the expensive kernels of telemetry.Manager.Signals(): three
-// Theil–Sen fits and four Spearman correlations per tenant per billing
-// interval. The plain functions allocate a pairwise-slope slice (TheilSen)
-// and rank/index slices (Spearman) on every call; the *Buf variants reuse
-// caller-owned scratch so a warm caller performs zero heap allocations.
-// Results are bit-identical to the plain functions (asserted by the
-// property tests): the same slope/rank multisets flow through the same
-// median and Pearson arithmetic.
+// Buffered derived-signal estimators. Theil–Sen and Spearman are the
+// expensive kernels of telemetry.Manager.Signals(): three Theil–Sen fits
+// and four Spearman correlations per tenant per billing interval. Both
+// reuse caller-owned scratch (a pairwise-slope buffer, rank/index slices)
+// so a warm caller performs zero heap allocations. Results are
+// bit-identical to the allocating oracles in reference_test.go (asserted
+// by the property tests and FuzzSelectKernels): the same slope/rank
+// multisets flow through the same median and Pearson arithmetic.
 package stats
 
 import (
@@ -18,11 +17,16 @@ import (
 // ErrLengthMismatch is returned when paired series have different lengths.
 var ErrLengthMismatch = errors.New("stats: paired series must have equal length")
 
-// TheilSenBuf is TheilSen with a caller-owned scratch buffer: the pairwise
-// slopes are accumulated into *buf (grown once, then reused across calls)
+// TheilSenBuf estimates a robust linear trend of ys over xs using the
+// Theil–Sen estimator: the median of all pairwise slopes. The trend is
+// marked Significant only when at least alpha of the pairwise slopes are
+// positive, or at least alpha are negative (the paper's acceptance test).
+// Pairs with identical x are skipped. Requires at least 3 points.
+//
+// The pairwise slopes are accumulated into the caller-owned *buf (grown
+// once, then reused across calls; a nil buffer is fine for one-off calls)
 // and the median selections run in place, so a warm caller allocates
-// nothing. xs and ys are not modified; *buf is reordered and resized. The
-// returned Trend is bit-identical to TheilSen's on the same input.
+// nothing. xs and ys are not modified; *buf is reordered and resized.
 func TheilSenBuf(xs, ys []float64, alpha float64, buf *[]float64) (Trend, error) {
 	if len(xs) != len(ys) {
 		return Trend{}, ErrLengthMismatch
@@ -58,17 +62,17 @@ func TheilSenBuf(xs, ys []float64, alpha float64, buf *[]float64) (Trend, error)
 	if len(slopes) == 0 {
 		return Trend{}, ErrInsufficientData
 	}
-	slope := MedianInPlace(slopes)
+	slope := QuantileSelect(slopes, 0.5)
 	agreePos := float64(pos) / float64(len(slopes))
 	agreeNeg := float64(neg) / float64(len(slopes))
 	agree := math.Max(agreePos, agreeNeg)
 	sig := (slope > 0 && agreePos >= alpha) || (slope < 0 && agreeNeg >= alpha)
 	// Reuse the slope buffer (cap ≥ n(n-1)/2 ≥ n for n ≥ 3) for the median
-	// copies the intercept needs; Median would copy and sort instead.
+	// copies the intercept needs; Median would copy instead.
 	med := append(slopes[:0], ys...)
-	my := MedianInPlace(med)
+	my := QuantileSelect(med, 0.5)
 	med = append(med[:0], xs...)
-	mx := MedianInPlace(med)
+	mx := QuantileSelect(med, 0.5)
 	intercept := my - slope*mx
 	return Trend{Slope: slope, Intercept: intercept, Significant: sig, Agreement: agree, N: n}, nil
 }
@@ -81,10 +85,12 @@ type SpearmanScratch struct {
 	idx    []int
 }
 
-// SpearmanBuf is Spearman with caller-owned rank/index scratch: ranks are
-// computed into sc's buffers instead of freshly allocated slices, so a warm
-// caller allocates nothing. xs and ys are not modified. The result is
-// bit-identical to Spearman's on the same input.
+// SpearmanBuf returns Spearman's rank correlation coefficient ρ: the
+// Pearson coefficient computed on the ranks of xs and ys (Section 3.2.2).
+// ρ detects any monotone dependence, not just linear, and ranking bounds
+// the influence of outliers. Ranks are computed into sc's buffers instead
+// of freshly allocated slices, so a warm caller allocates nothing; a zero
+// SpearmanScratch serves one-off calls. xs and ys are not modified.
 func SpearmanBuf(xs, ys []float64, sc *SpearmanScratch) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, ErrLengthMismatch
@@ -97,10 +103,11 @@ func SpearmanBuf(xs, ys []float64, sc *SpearmanScratch) (float64, error) {
 	return Pearson(sc.rx, sc.ry)
 }
 
-// ranksInto computes the same fractional ranks as Ranks into dst (resized
-// to len(xs)), using *idxBuf as index scratch. Rank values are independent
-// of how ties are ordered internally, so any stable-or-not sort of the
-// index slice yields the identical rank vector.
+// ranksInto assigns fractional ranks (1-based, ties get the average of the
+// ranks they span) into dst (resized to len(xs)), using *idxBuf as index
+// scratch. Rank values are independent of how ties are ordered internally,
+// so any stable-or-not sort of the index slice yields the identical rank
+// vector.
 func ranksInto(dst []float64, xs []float64, idxBuf *[]int) []float64 {
 	n := len(xs)
 	if cap(dst) < n {

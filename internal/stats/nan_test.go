@@ -20,8 +20,8 @@ func TestQuantileNaNQ(t *testing.T) {
 	if got := QuantileSelect(append([]float64(nil), xs...), nan); !math.IsNaN(got) {
 		t.Errorf("QuantileSelect(xs, NaN) = %v, want NaN", got)
 	}
-	if got := QuantileSorted([]float64{1, 2, 3}, nan); !math.IsNaN(got) {
-		t.Errorf("QuantileSorted(xs, NaN) = %v, want NaN", got)
+	if got := quantileSorted([]float64{1, 2, 3}, nan); !math.IsNaN(got) {
+		t.Errorf("quantileSorted(xs, NaN) = %v, want NaN", got)
 	}
 	if got := QuantileReference(xs, nan); !math.IsNaN(got) {
 		t.Errorf("QuantileReference(xs, NaN) = %v, want NaN", got)
@@ -57,7 +57,7 @@ func TestQuantileNaNValuesNoPanic(t *testing.T) {
 			QuantileReference(xs, q)
 		}
 		Median(xs)
-		MedianInPlace(append([]float64(nil), xs...))
+		QuantileSelect(append([]float64(nil), xs...), 0.5)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Selection-based order-statistic kernels for the per-tenant telemetry hot
-// path. The sort-based Quantile/Median copy their input and pay an
-// O(n log n) sort per call; at fleet scale the telemetry manager computes a
-// dozen medians per tenant per billing interval, so the copies and sorts
-// dominate. QuantileSelect and MedianInPlace reorder a caller-owned slice
-// with introselect — expected O(n), no allocation — and return values that
-// are bit-identical to the sort-based path (the same order statistics fed
-// through the same interpolation expression), which the property tests in
-// select_test.go assert on random, tied and adversarial inputs.
+// path. A sort-based quantile copies its input and pays an O(n log n) sort
+// per call; at fleet scale the telemetry manager computes a dozen medians
+// per tenant per billing interval, so the copies and sorts dominate.
+// QuantileSelect reorders a caller-owned slice with introselect — expected
+// O(n), no allocation — and returns values that are bit-identical to the
+// sort-based oracle (the same order statistics fed through the same
+// interpolation expression), which the property tests in select_test.go
+// and FuzzSelectKernels assert on random, tied and adversarial inputs.
 package stats
 
 import (
@@ -15,21 +15,16 @@ import (
 	"sort"
 )
 
-// MedianInPlace returns the median of xs, reordering xs. It is
-// bit-identical to Median on the same multiset of values. Returns NaN for
-// empty input. NaNs in the input make the result unspecified (as with
-// Median).
-func MedianInPlace(xs []float64) float64 {
-	return QuantileSelect(xs, 0.5)
-}
-
 // QuantileSelect returns the q-quantile of xs (0 ≤ q ≤ 1) with the same
 // linear interpolation between order statistics as Quantile, but selects
 // the needed order statistics in place with introselect instead of sorting
 // a copy: expected O(n), zero allocations, xs reordered. Returns NaN for
 // empty input and for q = NaN (a NaN quantile slips past both clamps, and
 // int(math.Floor(NaN)) would otherwise index out of range). NaN values in
-// xs never panic but make the result unspecified, as with Median.
+// xs never panic but make the result unspecified, as with Median. When xs
+// mixes +0 and −0 the sign of a zero result can differ from a sort-based
+// selection's: the two compare equal, and which lands in the slot depends
+// on the algorithm.
 func QuantileSelect(xs []float64, q float64) float64 {
 	return quantileTop(xs, q, len(xs), selectKth)
 }

@@ -120,11 +120,14 @@ func TestQuantileSelectUnorderedMatches(t *testing.T) {
 	}
 }
 
+// TestMedianInPlaceMatchesMedian: the in-place median the telemetry
+// manager and TheilSenBuf take, QuantileSelect(xs, 0.5), equals the
+// sort-based median oracle.
 func TestMedianInPlaceMatchesMedian(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := cleanSeries(raw, 1)
 		own := append([]float64(nil), xs...)
-		return MedianInPlace(own) == MedianReference(xs)
+		return QuantileSelect(own, 0.5) == MedianReference(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -249,7 +252,7 @@ func TestSpearmanBufAdversarial(t *testing.T) {
 func TestRanksIntoMatchesSortSliceReference(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := cleanSeries(raw, 1)
-		got := Ranks(xs)
+		got := ranksInto(nil, xs, new([]int))
 		want := RanksReference(xs)
 		for i := range want {
 			if got[i] != want[i] {
@@ -312,7 +315,7 @@ func TestSelectKernelsZeroAllocWhenWarm(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		copy(scratch, ys)
-		_ = MedianInPlace(scratch)
+		_ = QuantileSelect(scratch, 0.5)
 		_ = QuantileSelect(scratch, 0.95)
 		if _, err := TheilSenBuf(xs, ys, DefaultTrendAlpha, &buf); err != nil {
 			t.Fatal(err)

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -358,39 +359,84 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a sketch encoded by MarshalBinary, replacing s's
-// state entirely.
+// state entirely. It accepts only states MarshalBinary can produce: an
+// accuracy in (0, 1), bin keys strictly ascending with non-zero counts, a
+// count equal to the sum of every bucket, and extremes that are ordered
+// (or the empty sketch's ±Inf when the count is zero). So an accepted
+// encoding re-encodes to the same bytes, and a forged one cannot make
+// quantiles NaN or misplace ranks. On error s is left unchanged.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	r := binReader{buf: data}
 	if magic := r.u32(); magic != sketchMagic {
 		return fmt.Errorf("stats: bad sketch encoding magic %#x", magic)
 	}
 	alpha := r.f64()
-	if alpha <= 0 || alpha >= 1 {
+	if !(alpha > 0 && alpha < 1) { // also rejects NaN
 		return fmt.Errorf("stats: bad sketch accuracy %v", alpha)
 	}
-	*s = *NewSketch(alpha)
-	s.count = r.u64()
-	s.nans = r.u64()
-	s.zero = r.u64()
-	s.posInf = r.u64()
-	s.negInf = r.u64()
-	s.min = r.f64()
-	s.max = r.f64()
+	d := NewSketch(alpha)
+	d.count = r.u64()
+	d.nans = r.u64()
+	d.zero = r.u64()
+	d.posInf = r.u64()
+	d.negInf = r.u64()
+	d.min = r.f64()
+	d.max = r.f64()
+	var sum uint64
+	var overflow bool
+	addCount := func(c uint64) {
+		var carry uint64
+		sum, carry = bits.Add64(sum, c, 0)
+		overflow = overflow || carry != 0
+	}
+	addCount(d.zero)
+	addCount(d.posInf)
+	addCount(d.negInf)
+	var binErr error
 	readBins := func(m map[int32]uint64) {
 		n := int(r.u32())
-		for i := 0; i < n && r.err == nil; i++ {
+		var prev int32
+		for i := 0; i < n && r.err == nil && binErr == nil; i++ {
 			k := int32(r.u32())
-			m[k] = r.u64()
+			c := r.u64()
+			if r.err != nil {
+				return
+			}
+			if i > 0 && k <= prev {
+				binErr = fmt.Errorf("stats: sketch bin keys not strictly ascending at %d", k)
+				return
+			}
+			if c == 0 {
+				binErr = fmt.Errorf("stats: empty sketch bin %d", k)
+				return
+			}
+			m[k] = c
+			prev = k
+			addCount(c)
 		}
 	}
-	readBins(s.pos)
-	readBins(s.neg)
+	readBins(d.pos)
+	readBins(d.neg)
 	if r.err != nil {
 		return fmt.Errorf("stats: truncated sketch encoding: %w", r.err)
+	}
+	if binErr != nil {
+		return binErr
 	}
 	if len(r.buf) != r.off {
 		return fmt.Errorf("stats: %d trailing bytes after sketch", len(r.buf)-r.off)
 	}
+	if overflow || sum != d.count {
+		return fmt.Errorf("stats: sketch count %d does not match its buckets", d.count)
+	}
+	if d.count == 0 {
+		if !math.IsInf(d.min, 1) || !math.IsInf(d.max, -1) {
+			return fmt.Errorf("stats: empty sketch with extremes [%v, %v]", d.min, d.max)
+		}
+	} else if !(d.min <= d.max) { // also rejects NaN
+		return fmt.Errorf("stats: sketch extremes out of order: [%v, %v]", d.min, d.max)
+	}
+	*s = *d
 	return nil
 }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -131,8 +132,8 @@ func TestSketchNaNContract(t *testing.T) {
 	if v := s.Quantile(0.5); math.IsNaN(v) {
 		t.Error("NaN input poisoned the quantiles")
 	}
-	// Quantile(NaN) → NaN: the PR-3 contract shared with Quantile,
-	// QuantileSorted and QuantileSelect.
+	// Quantile(NaN) → NaN: the contract shared with Quantile and
+	// QuantileSelect.
 	if !math.IsNaN(s.Quantile(math.NaN())) {
 		t.Error("Quantile(NaN) should be NaN")
 	}
@@ -296,6 +297,128 @@ func TestSketchBinaryRoundTrip(t *testing.T) {
 	bad[0] ^= 0xff
 	if err := new(Sketch).UnmarshalBinary(bad); err == nil {
 		t.Error("bad magic accepted")
+	}
+}
+
+// rawSketch spells out every field of a sketch encoding, so a test can
+// forge states MarshalBinary never writes.
+type rawSketch struct {
+	alpha                             float64
+	count, nans, zero, posInf, negInf uint64
+	min, max                          float64
+	pos, neg                          [][2]uint64 // (key as uint32, count)
+}
+
+// binKey spells a bin key the way the encoding stores it.
+func binKey(k int32) uint64 { return uint64(uint32(k)) }
+
+func (r rawSketch) bytes() []byte {
+	var buf []byte
+	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
+	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	u32(sketchMagic)
+	u64(math.Float64bits(r.alpha))
+	for _, v := range []uint64{r.count, r.nans, r.zero, r.posInf, r.negInf} {
+		u64(v)
+	}
+	u64(math.Float64bits(r.min))
+	u64(math.Float64bits(r.max))
+	for _, bins := range [][][2]uint64{r.pos, r.neg} {
+		u32(uint32(len(bins)))
+		for _, b := range bins {
+			u32(uint32(b[0]))
+			u64(b[1])
+		}
+	}
+	return buf
+}
+
+// TestSketchUnmarshalRejectsInvalidState: the decoder accepts only states
+// MarshalBinary can produce. Each forged encoding below used to decode
+// with err == nil into a sketch whose quantiles were NaN (NaN accuracy) or
+// misplaced (a count that disagrees with the bins: Quantile(0.5) of 100
+// binned samples returned the maximum), and a failed decode used to leave
+// the receiver half overwritten.
+func TestSketchUnmarshalRejectsInvalidState(t *testing.T) {
+	s := NewSketch(0.01)
+	for i := 1; i <= 100; i++ {
+		s.Add(float64(i))
+	}
+	valid := rawSketch{alpha: 0.01, count: 100, min: 1, max: 100}
+	for _, k := range sortedKeys(s.pos) {
+		valid.pos = append(valid.pos, [2]uint64{binKey(k), s.pos[k]})
+	}
+	if !bytes.Equal(valid.bytes(), sketchBytes(t, s)) {
+		t.Fatal("rawSketch does not reproduce MarshalBinary's layout")
+	}
+	empty := rawSketch{alpha: 0.01, min: math.Inf(1), max: math.Inf(-1)}
+	if !bytes.Equal(empty.bytes(), sketchBytes(t, NewSketch(0.01))) {
+		t.Fatal("rawSketch does not reproduce an empty sketch")
+	}
+
+	cases := []struct {
+		name  string
+		forge func(r *rawSketch)
+	}{
+		{"NaN accuracy", func(r *rawSketch) { r.alpha = math.NaN() }},
+		{"zero accuracy", func(r *rawSketch) { r.alpha = 0 }},
+		{"accuracy one", func(r *rawSketch) { r.alpha = 1 }},
+		{"infinite accuracy", func(r *rawSketch) { r.alpha = math.Inf(1) }},
+		{"count above the bins", func(r *rawSketch) { r.count = 1 << 40 }},
+		{"count below the bins", func(r *rawSketch) { r.count = 99 }},
+		{"bucket sum overflows", func(r *rawSketch) {
+			r.zero = math.MaxUint64
+			r.count = 99 // 2^64 − 1 + 100 wraps to 99
+		}},
+		{"bin counts overflow", func(r *rawSketch) {
+			r.pos[0][1] = math.MaxUint64
+			r.count = r.pos[1][1] - 1
+			for _, b := range r.pos[1:] {
+				r.count += b[1]
+			}
+		}},
+		{"zero bin count", func(r *rawSketch) {
+			r.pos = append([][2]uint64{{binKey(-50), 0}}, r.pos...)
+		}},
+		{"duplicate bin key", func(r *rawSketch) { r.pos[1][0] = r.pos[0][0] }},
+		{"descending bin keys", func(r *rawSketch) { r.pos[0], r.pos[1] = r.pos[1], r.pos[0] }},
+		{"descending negative bin keys", func(r *rawSketch) {
+			r.neg = [][2]uint64{{5, 1}, {binKey(-5), 1}}
+			r.count += 2
+			r.min = -200
+		}},
+		{"min above max", func(r *rawSketch) { r.min, r.max = r.max, r.min }},
+		{"NaN min", func(r *rawSketch) { r.min = math.NaN() }},
+		{"NaN max", func(r *rawSketch) { r.max = math.NaN() }},
+		{"empty with finite extremes", func(r *rawSketch) { *r = rawSketch{alpha: 0.01, min: 0, max: 0} }},
+		{"empty with NaN extremes", func(r *rawSketch) { *r = rawSketch{alpha: 0.01, min: math.NaN(), max: math.NaN()} }},
+	}
+	for _, c := range cases {
+		r := valid
+		r.pos = append([][2]uint64(nil), valid.pos...)
+		c.forge(&r)
+		target := NewSketch(0.02)
+		target.Add(7)
+		before := sketchBytes(t, target)
+		if err := target.UnmarshalBinary(r.bytes()); err == nil {
+			t.Errorf("%s: forged encoding accepted (Quantile(0.5) = %v)", c.name, target.Quantile(0.5))
+			continue
+		}
+		if !bytes.Equal(before, sketchBytes(t, target)) {
+			t.Errorf("%s: failed decode modified the receiver", c.name)
+		}
+	}
+
+	// The unforged encodings still decode, to the same quantiles.
+	var back Sketch
+	if err := back.UnmarshalBinary(valid.bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := back.Quantile(0.5), s.Quantile(0.5); got != want {
+		t.Errorf("decoded Quantile(0.5) = %v, want %v", got, want)
+	}
+	if err := back.UnmarshalBinary(empty.bytes()); err != nil {
+		t.Fatalf("empty sketch rejected: %v", err)
 	}
 }
 

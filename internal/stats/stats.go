@@ -49,52 +49,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return QuantileSelect(s, q)
 }
 
-// QuantileSorted is Quantile for data already sorted ascending. It does not
-// copy.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	return quantileSorted(sorted, q)
-}
-
-func quantileSorted(s []float64, q float64) float64 {
-	if math.IsNaN(q) {
-		// NaN escapes both clamps below; pos would be NaN and the floor an
-		// out-of-range index. The NaN quantile of any data is NaN.
-		return math.NaN()
-	}
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// MAD returns the median absolute deviation from the median, a robust
-// dispersion measure.
-func MAD(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Median(xs)
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - m)
-	}
-	return MedianInPlace(dev) // dev is private to this call
-
-}
-
 // Trend is the outcome of a trend estimation over a time series.
 type Trend struct {
 	// Slope is the estimated slope (units of y per unit of x).
@@ -115,18 +69,6 @@ type Trend struct {
 // DefaultTrendAlpha is the sign-agreement fraction the paper found to work
 // well in practice (α = 70%, Section 3.2.1).
 const DefaultTrendAlpha = 0.70
-
-// TheilSen estimates a robust linear trend of ys over xs using the
-// Theil–Sen estimator: the median of all pairwise slopes. The trend is
-// marked Significant only when at least alpha of the pairwise slopes are
-// positive, or at least alpha are negative (the paper's acceptance test).
-// Pairs with identical x are skipped. Requires at least 3 points. It is a
-// thin wrapper over TheilSenBuf with a throwaway slope buffer; hot paths
-// should hold a buffer and call TheilSenBuf.
-func TheilSen(xs, ys []float64, alpha float64) (Trend, error) {
-	var buf []float64
-	return TheilSenBuf(xs, ys, alpha, &buf)
-}
 
 // LeastSquares fits a line by ordinary least squares and reports R² as the
 // Agreement field. It is the non-robust baseline for the trend ablation: a
@@ -165,14 +107,6 @@ func LeastSquares(xs, ys []float64, alpha float64) (Trend, error) {
 	}, nil
 }
 
-// Ranks assigns fractional ranks (1-based, ties get the average of the ranks
-// they span), the standard ranking used by Spearman correlation. It is a
-// thin wrapper over the scratch-reusing kernel behind SpearmanBuf.
-func Ranks(xs []float64) []float64 {
-	var idx []int
-	return ranksInto(nil, xs, &idx)
-}
-
 // Pearson returns the Pearson product-moment correlation coefficient of xs
 // and ys. Returns 0 when either series has zero variance.
 func Pearson(xs, ys []float64) (float64, error) {
@@ -194,16 +128,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns Spearman's rank correlation coefficient ρ: the Pearson
-// coefficient computed on the ranks of xs and ys (Section 3.2.2). ρ detects
-// any monotone dependence, not just linear, and ranking bounds the influence
-// of outliers. It is a thin wrapper over SpearmanBuf with throwaway rank
-// scratch; hot paths should hold a SpearmanScratch and call SpearmanBuf.
-func Spearman(xs, ys []float64) (float64, error) {
-	var sc SpearmanScratch
-	return SpearmanBuf(xs, ys, &sc)
 }
 
 // CDFPoint is one point of an empirical cumulative distribution: Fraction of

@@ -85,8 +85,8 @@ func TestQuantileSortedMatchesQuantile(t *testing.T) {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.95, 1} {
-		if a, b := Quantile(xs, q), QuantileSorted(s, q); a != b {
-			t.Errorf("q=%v: Quantile=%v QuantileSorted=%v", q, a, b)
+		if a, b := Quantile(xs, q), quantileSorted(s, q); a != b {
+			t.Errorf("q=%v: Quantile=%v quantileSorted=%v", q, a, b)
 		}
 	}
 }
@@ -114,24 +114,13 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestMAD(t *testing.T) {
-	xs := []float64{1, 1, 2, 2, 4, 6, 9}
-	// median = 2, |x-2| = {1,1,0,0,2,4,7}, median of that = 1
-	if got := MAD(xs); got != 1 {
-		t.Errorf("MAD = %v, want 1", got)
-	}
-	if got := MAD(nil); !math.IsNaN(got) {
-		t.Errorf("MAD(nil) = %v, want NaN", got)
-	}
-}
-
 func TestTheilSenPerfectLine(t *testing.T) {
 	xs := []float64{0, 1, 2, 3, 4, 5}
 	ys := make([]float64, len(xs))
 	for i, x := range xs {
 		ys[i] = 3*x + 2
 	}
-	tr, err := TheilSen(xs, ys, DefaultTrendAlpha)
+	tr, err := TheilSenBuf(xs, ys, DefaultTrendAlpha, new([]float64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +143,7 @@ func TestTheilSenRobustToOutlier(t *testing.T) {
 		ys[i] = float64(i)
 	}
 	xs[20], ys[20] = 20, 1e6
-	ts, err := TheilSen(xs, ys, DefaultTrendAlpha)
+	ts, err := TheilSenBuf(xs, ys, DefaultTrendAlpha, new([]float64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +171,7 @@ func TestTheilSenNoTrendInNoise(t *testing.T) {
 			ys[i] = -10
 		}
 	}
-	tr, err := TheilSen(xs, ys, DefaultTrendAlpha)
+	tr, err := TheilSenBuf(xs, ys, DefaultTrendAlpha, new([]float64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +181,13 @@ func TestTheilSenNoTrendInNoise(t *testing.T) {
 }
 
 func TestTheilSenErrors(t *testing.T) {
-	if _, err := TheilSen([]float64{1, 2}, []float64{1, 2}, 0.7); err != ErrInsufficientData {
+	if _, err := TheilSenBuf([]float64{1, 2}, []float64{1, 2}, 0.7, new([]float64)); err != ErrInsufficientData {
 		t.Errorf("short input err = %v", err)
 	}
-	if _, err := TheilSen([]float64{1, 2, 3}, []float64{1, 2}, 0.7); err == nil {
+	if _, err := TheilSenBuf([]float64{1, 2, 3}, []float64{1, 2}, 0.7, new([]float64)); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, err := TheilSen([]float64{5, 5, 5}, []float64{1, 2, 3}, 0.7); err != ErrInsufficientData {
+	if _, err := TheilSenBuf([]float64{5, 5, 5}, []float64{1, 2, 3}, 0.7, new([]float64)); err != ErrInsufficientData {
 		t.Errorf("all-identical x err = %v", err)
 	}
 }
@@ -219,7 +208,7 @@ func TestLeastSquaresPerfectLine(t *testing.T) {
 }
 
 func TestRanks(t *testing.T) {
-	got := Ranks([]float64{30, 10, 20})
+	got := ranksInto(nil, []float64{30, 10, 20}, new([]int))
 	want := []float64{3, 1, 2}
 	for i := range want {
 		if got[i] != want[i] {
@@ -227,7 +216,7 @@ func TestRanks(t *testing.T) {
 		}
 	}
 	// Ties share the average rank.
-	got = Ranks([]float64{5, 5, 1, 9})
+	got = ranksInto(nil, []float64{5, 5, 1, 9}, new([]int))
 	want = []float64{2.5, 2.5, 1, 4}
 	for i := range want {
 		if got[i] != want[i] {
@@ -244,7 +233,7 @@ func TestSpearmanMonotone(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = math.Exp(x) // strongly convex but monotone
 	}
-	rho, err := Spearman(xs, ys)
+	rho, err := SpearmanBuf(xs, ys, new(SpearmanScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +249,7 @@ func TestSpearmanMonotone(t *testing.T) {
 func TestSpearmanNegativeAndZero(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	down := []float64{10, 8, 6, 4, 2}
-	rho, err := Spearman(xs, down)
+	rho, err := SpearmanBuf(xs, down, new(SpearmanScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +257,7 @@ func TestSpearmanNegativeAndZero(t *testing.T) {
 		t.Errorf("Spearman of decreasing series = %v, want -1", rho)
 	}
 	flat := []float64{7, 7, 7, 7, 7}
-	rho, err = Spearman(xs, flat)
+	rho, err = SpearmanBuf(xs, flat, new(SpearmanScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +280,7 @@ func TestSpearmanBoundedProperty(t *testing.T) {
 			xs[i] = float64(i)
 			ys[i] = v
 		}
-		rho, err := Spearman(xs, ys)
+		rho, err := SpearmanBuf(xs, ys, new(SpearmanScratch))
 		if err != nil {
 			return false
 		}
@@ -309,10 +298,10 @@ func TestPearsonErrors(t *testing.T) {
 	if _, err := Pearson([]float64{1, 2}, []float64{1}); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, err := Spearman([]float64{1, 2}, []float64{1}); err == nil {
+	if _, err := SpearmanBuf([]float64{1, 2}, []float64{1}, new(SpearmanScratch)); err == nil {
 		t.Error("Spearman length mismatch should error")
 	}
-	if _, err := Spearman([]float64{1, 2}, []float64{1, 2}); err != ErrInsufficientData {
+	if _, err := SpearmanBuf([]float64{1, 2}, []float64{1, 2}, new(SpearmanScratch)); err != ErrInsufficientData {
 		t.Error("Spearman short input should error")
 	}
 }

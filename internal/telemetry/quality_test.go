@@ -255,7 +255,7 @@ func TestManagerSanitizesCorruptStream(t *testing.T) {
 		m.Observe(s)
 
 		got, ok := m.Signals()
-		want, okRef := m.SignalsReference()
+		want, okRef := signalsReference(m)
 		if ok != okRef {
 			t.Fatalf("interval %d: ok mismatch", i)
 		}

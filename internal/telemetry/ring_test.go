@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -37,32 +38,49 @@ func randomSnapshot(rng *rand.Rand, interval int) Snapshot {
 	return s
 }
 
-// TestSignalsMatchReference is the equivalence property of the tentpole:
-// the zero-allocation ring-buffer fast path must be bit-identical to the
-// retained pre-optimization implementation on random windows of every
-// length, before and after the ring wraps.
+// TestSignalsMatchReference is the equivalence property of the
+// zero-allocation ring-buffer fast path: it must be bit-identical to the
+// test-only oracle on random windows of every length, before and after the
+// ring wraps, and on a 1000-tenant fleet of 25-interval streams at the
+// default window (each tenant's manager reset and replayed, as the fleet
+// benchmark drives it).
 func TestSignalsMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 50; trial++ {
-		window := MinIntervalsForSignals + rng.Intn(12)
-		m := NewManager(window)
-		feed := window*2 + rng.Intn(window) // wraps the ring at least once
-		for i := 0; i < feed; i++ {
-			m.Observe(randomSnapshot(rng, i))
-			got, okGot := m.Signals()
-			want, okWant := m.SignalsReference()
-			if okGot != okWant {
-				t.Fatalf("trial %d interval %d: ok mismatch %v vs %v", trial, i, okGot, okWant)
-			}
-			if !okGot {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d interval %d (window %d): fast path diverged\n got %+v\nwant %+v",
-					trial, i, window, got, want)
-			}
+	check := func(t *testing.T, m *Manager, label string) {
+		t.Helper()
+		got, okGot := m.Signals()
+		want, okWant := signalsReference(m)
+		if okGot != okWant {
+			t.Fatalf("%s: ok mismatch %v vs %v", label, okGot, okWant)
+		}
+		if okGot && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s (window %d): fast path diverged\n got %+v\nwant %+v",
+				label, m.Window(), got, want)
 		}
 	}
+	t.Run("random-windows", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		for trial := 0; trial < 50; trial++ {
+			window := MinIntervalsForSignals + rng.Intn(12)
+			m := NewManager(window)
+			feed := window*2 + rng.Intn(window) // wraps the ring at least once
+			for i := 0; i < feed; i++ {
+				m.Observe(randomSnapshot(rng, i))
+				check(t, m, fmt.Sprintf("trial %d interval %d", trial, i))
+			}
+		}
+	})
+	t.Run("fleet-1k", func(t *testing.T) {
+		const tenants, intervals = 1000, 25
+		rng := rand.New(rand.NewSource(42))
+		m := NewManager(DefaultWindow)
+		for i := 0; i < tenants; i++ {
+			m.Reset()
+			for j := 0; j < intervals; j++ {
+				m.Observe(randomSnapshot(rng, j))
+				check(t, m, fmt.Sprintf("tenant %d interval %d", i, j))
+			}
+		}
+	})
 }
 
 // TestSignalsCachedBetweenObservations: repeat Signals() calls without new
